@@ -478,9 +478,12 @@ impl EvalEngine {
     /// per-epoch slices memoized beside the static noise cache.
     ///
     /// At `t = 0` the drifted population is the base model bit for bit
-    /// and no component has converted, so `eval` is bit-identical to
-    /// [`EvalEngine::evaluate`] for every recovery arm. Results are
-    /// deterministic and independent of evaluation order.
+    /// and no component has converted. For arms that do not repair
+    /// ([`RecoveryPolicy::repairs`] is false) `eval` is then bit-identical
+    /// to [`EvalEngine::evaluate`]; repairing arms provision spares, which
+    /// add area, so only their latency and energy equal the healthy
+    /// report's. Results are deterministic and independent of evaluation
+    /// order.
     ///
     /// Panics unless the engine was built with
     /// [`EvalEngine::with_drift`].

@@ -12,8 +12,8 @@
 //! predecessor's strategy and keeps the max — the RL agent must only ever
 //! improve on it, mirroring the paper's monotone Fig. 10.
 
-use crate::homogeneous::best_homogeneous_with_engine;
-use crate::search::rl::{rl_search_with_engine, RlSearchConfig, SearchOutcome};
+use crate::homogeneous::best_homogeneous;
+use crate::search::rl::{rl_search_vec_with_stats, RlSearchConfig};
 use autohet_accel::{AccelConfig, EvalEngine, EvalReport};
 use autohet_dnn::Model;
 use autohet_xbar::geometry::{paper_hybrid_candidates, SQUARE_CANDIDATES};
@@ -64,7 +64,7 @@ pub fn run_ablation(model: &Model, scfg: &RlSearchConfig) -> Vec<AblationResult>
     let shared_engine = Arc::new(EvalEngine::new(model.clone(), shared));
 
     // Base.
-    let (base_shape, base_report) = best_homogeneous_with_engine(&plain_engine);
+    let (base_shape, base_report) = best_homogeneous(&plain_engine);
     let base_strategy = vec![base_shape; model.layers.len()];
     let mut results = vec![AblationResult {
         stage: AblationStage::Base,
@@ -131,8 +131,8 @@ fn search_with_floor(
     incumbent: &[XbarShape],
     engine: &Arc<EvalEngine>,
 ) -> (Vec<XbarShape>, EvalReport) {
-    let outcome: SearchOutcome =
-        rl_search_with_engine(model, candidates, cfg, scfg, Arc::clone(engine));
+    let (outcome, _) =
+        rl_search_vec_with_stats(model, candidates, cfg, scfg, 1, Arc::clone(engine));
     // The incumbent may use shapes outside this stage's candidate list
     // only when moving from He → Hy; it is still a valid configuration of
     // the stage's accelerator, so comparing is fair.

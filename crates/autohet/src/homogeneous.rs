@@ -11,15 +11,9 @@ use autohet_xbar::geometry::SQUARE_CANDIDATES;
 use autohet_xbar::XbarShape;
 
 /// Evaluate every homogeneous square baseline (one parallel worker per
-/// candidate, ordered like `SQUARE_CANDIDATES`).
-pub fn homogeneous_reports(model: &Model, cfg: &AccelConfig) -> Vec<(XbarShape, EvalReport)> {
-    let engine = EvalEngine::new(model.clone(), *cfg);
-    homogeneous_reports_with_engine(&engine)
-}
-
-/// [`homogeneous_reports`] on an existing engine, warming its memo table
-/// for a subsequent search over the same config.
-pub fn homogeneous_reports_with_engine(engine: &EvalEngine) -> Vec<(XbarShape, EvalReport)> {
+/// candidate, ordered like `SQUARE_CANDIDATES`), warming the engine's memo
+/// table for a subsequent search over the same config.
+pub fn homogeneous_reports(engine: &EvalEngine) -> Vec<(XbarShape, EvalReport)> {
     let n = engine.model().layers.len();
     crate::par::par_map(SQUARE_CANDIDATES.as_ref(), |&s| {
         (s, engine.evaluate(&vec![s; n]))
@@ -28,16 +22,8 @@ pub fn homogeneous_reports_with_engine(engine: &EvalEngine) -> Vec<(XbarShape, E
 
 /// The homogeneous baseline with the highest RUE ("Best-Homo" in §4.4,
 /// "Base" in §4.3).
-pub fn best_homogeneous(model: &Model, cfg: &AccelConfig) -> (XbarShape, EvalReport) {
-    homogeneous_reports(model, cfg)
-        .into_iter()
-        .max_by(|a, b| a.1.rue().partial_cmp(&b.1.rue()).unwrap())
-        .expect("at least one baseline")
-}
-
-/// [`best_homogeneous`] on an existing engine.
-pub fn best_homogeneous_with_engine(engine: &EvalEngine) -> (XbarShape, EvalReport) {
-    homogeneous_reports_with_engine(engine)
+pub fn best_homogeneous(engine: &EvalEngine) -> (XbarShape, EvalReport) {
+    homogeneous_reports(engine)
         .into_iter()
         .max_by(|a, b| a.1.rue().partial_cmp(&b.1.rue()).unwrap())
         .expect("at least one baseline")
@@ -71,7 +57,7 @@ mod tests {
     #[test]
     fn five_baselines_are_produced() {
         let m = zoo::alexnet();
-        let reports = homogeneous_reports(&m, &AccelConfig::default());
+        let reports = homogeneous_reports(&EvalEngine::new(m.clone(), AccelConfig::default()));
         assert_eq!(reports.len(), 5);
         assert!(reports.iter().all(|(s, _)| s.is_square()));
     }
@@ -80,7 +66,7 @@ mod tests {
     fn engine_backed_reports_match_direct_evaluation() {
         let m = zoo::alexnet();
         let cfg = AccelConfig::default().with_tile_sharing();
-        for (s, r) in homogeneous_reports(&m, &cfg) {
+        for (s, r) in homogeneous_reports(&EvalEngine::new(m.clone(), cfg)) {
             assert_eq!(r, evaluate(&m, &vec![s; m.layers.len()], &cfg));
         }
     }
@@ -89,8 +75,8 @@ mod tests {
     fn best_homogeneous_maximizes_rue() {
         let m = zoo::vgg16();
         let cfg = AccelConfig::default();
-        let (_, best) = best_homogeneous(&m, &cfg);
-        for (_, r) in homogeneous_reports(&m, &cfg) {
+        let (_, best) = best_homogeneous(&EvalEngine::new(m.clone(), cfg));
+        for (_, r) in homogeneous_reports(&EvalEngine::new(m.clone(), cfg)) {
             assert!(best.rue() >= r.rue());
         }
     }
@@ -99,7 +85,7 @@ mod tests {
     fn homogeneous_tradeoff_matches_fig3() {
         // Fig. 3: 32×32 maximizes utilization, 512×512 minimizes energy.
         let m = zoo::vgg16();
-        let reports = homogeneous_reports(&m, &AccelConfig::default());
+        let reports = homogeneous_reports(&EvalEngine::new(m.clone(), AccelConfig::default()));
         let best_util = reports
             .iter()
             .max_by(|a, b| a.1.utilization.partial_cmp(&b.1.utilization).unwrap())
@@ -133,7 +119,7 @@ mod tests {
         let m = zoo::vgg16();
         let cfg = AccelConfig::default();
         let manual = manual_hetero_vgg16(&m, &cfg);
-        let mut rues: Vec<f64> = homogeneous_reports(&m, &cfg)
+        let mut rues: Vec<f64> = homogeneous_reports(&EvalEngine::new(m.clone(), cfg))
             .into_iter()
             .map(|(_, r)| r.rue())
             .collect();

@@ -16,7 +16,8 @@
 //! let cfg = AccelConfig::default().with_tile_sharing();
 //! let search = RlSearchConfig { episodes: 40, ..RlSearchConfig::default() };
 //! let outcome = rl_search(&model, &paper_hybrid_candidates(), &cfg, &search);
-//! let best_homo = best_homogeneous(&model, &AccelConfig::default()).1;
+//! let engine = EvalEngine::new(model.clone(), AccelConfig::default());
+//! let best_homo = best_homogeneous(&engine).1;
 //! assert!(outcome.best_report.rue() >= best_homo.rue() * 0.9);
 //! ```
 //!
@@ -27,8 +28,8 @@
 //! - [`search`]: strategy search drivers — [`search::rl`] (the paper),
 //!   plus greedy / random / exhaustive comparators.
 //! - [`vec_env`]: lockstep vectorized environments behind
-//!   [`search::rl::rl_search_vec`] — N episodes share one batched actor
-//!   pass and fan evaluations out over the worker pool.
+//!   [`search::rl::rl_search_vec_with_stats`] — N episodes share one
+//!   batched actor pass and fan evaluations out over the worker pool.
 //! - [`homogeneous`]: the five fixed-size baselines and Fig. 3's manual
 //!   heterogeneous configuration.
 //! - [`ablation`]: the §4.3 Base / +He / +Hy / All study.
@@ -64,34 +65,19 @@ pub mod vec_env;
 pub mod prelude {
     pub use crate::ablation::{run_ablation, AblationStage};
     pub use crate::env::AutoHetEnv;
-    pub use crate::homogeneous::{
-        best_homogeneous, best_homogeneous_with_engine, homogeneous_reports,
-        homogeneous_reports_with_engine, manual_hetero_vgg16,
-    };
+    pub use crate::homogeneous::{best_homogeneous, homogeneous_reports, manual_hetero_vgg16};
     pub use crate::par::par_map;
     pub use crate::robust::{
-        nsga_search, nsga_search_with_engine, GenerationStat, NsgaConfig, RobustPoint,
-        RobustSearchOutcome,
+        nsga_search, GenerationStat, NsgaConfig, RobustPoint, RobustSearchOutcome,
     };
-    pub use crate::search::annealing::{
-        annealing_search, annealing_search_with_engine, AnnealingConfig, AnnealingOutcome,
-    };
-    pub use crate::search::dqn::{
-        dqn_search, dqn_search_with_engine, DqnSearchConfig, DqnSearchOutcome,
-    };
-    pub use crate::search::exhaustive::{
-        exhaustive_search, exhaustive_search_serial, exhaustive_search_with_engine,
-    };
-    pub use crate::search::greedy::{
-        greedy_layerwise_rue, greedy_layerwise_rue_with_engine, greedy_utilization,
-        greedy_utilization_with_engine, GreedyOutcome,
-    };
-    pub use crate::search::random::{random_search, random_search_with_engine};
+    pub use crate::search::annealing::{annealing_search, AnnealingConfig, AnnealingOutcome};
+    pub use crate::search::dqn::{dqn_search, DqnSearchConfig, DqnSearchOutcome};
+    pub use crate::search::exhaustive::{exhaustive_search, exhaustive_search_serial};
+    pub use crate::search::greedy::{greedy_layerwise_rue, greedy_utilization, GreedyOutcome};
+    pub use crate::search::random::random_search;
     pub use crate::search::rl::{
-        rl_search, rl_search_multi_seed, rl_search_vec, rl_search_vec_multi_seed,
-        rl_search_vec_tapped, rl_search_vec_with_engine, rl_search_vec_with_stats,
-        rl_search_with_engine, EpisodeRecord, RlSearchConfig, SearchOutcome, SearchTap,
-        SearchTiming, VecSearchStats,
+        rl_search, rl_search_multi_seed, rl_search_vec_tapped, rl_search_vec_with_stats,
+        EpisodeRecord, RlSearchConfig, SearchOutcome, SearchTap, SearchTiming, VecSearchStats,
     };
     pub use crate::studies::{
         fault_campaign, lifetime_campaign, robustness_study, search_throughput_study,
@@ -111,12 +97,12 @@ pub mod prelude {
         NoisyEvalReport, RecoveryPolicy, RepairPolicy, RobustnessReport,
     };
     pub use autohet_serve::{
-        alert_timeline, jain_index, publish_shard_report, run_serving, run_serving_parallel,
-        run_sharded, run_sharded_reference, run_sharded_threaded, shard_alert_timeline,
-        shard_window_series, AutoscaleSpec, BurstSpec, Deployment, FailureSpec, HealthEvent,
-        HealthEventKind, HealthSpec, LatencyHistogram, RampSpec, ScaleEvent, SelectMode,
-        ServeAlertConfig, ServeConfig, ServingReport, ShardConfig, ShardServingReport, StealSpec,
-        SwapEvent, SwapSpec, TenantSpec, TenantStats, Workload,
+        alert_timeline, jain_index, publish_shard_report, run_serving, run_sharded,
+        run_sharded_reference, run_sharded_threaded, shard_alert_timeline, shard_window_series,
+        AutoscaleSpec, BurstSpec, Deployment, FailureSpec, HealthEvent, HealthEventKind,
+        HealthSpec, LatencyHistogram, RampSpec, ScaleEvent, SelectMode, ServeAlertConfig,
+        ServeConfig, ServingReport, ShardConfig, ShardServingReport, StealSpec, SwapEvent,
+        SwapSpec, TenantSpec, TenantStats, Workload,
     };
     pub use autohet_xbar::fault::{FaultMap, FaultRates};
     pub use autohet_xbar::geometry::{

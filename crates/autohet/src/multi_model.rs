@@ -10,7 +10,7 @@
 //! shared hardware, so leakage is charged over the combined runtime.
 
 use crate::homogeneous::best_homogeneous;
-use crate::search::rl::{rl_search_with_engine, RlSearchConfig};
+use crate::search::rl::{rl_search_vec_with_stats, RlSearchConfig};
 use autohet_accel::{AccelConfig, EvalEngine, EvalReport};
 use autohet_dnn::{Dataset, Model};
 use autohet_xbar::XbarShape;
@@ -85,13 +85,19 @@ pub fn co_search(
     let (joint_model, offsets) = concat_models(models);
     let engine = Arc::new(EvalEngine::new(joint_model.clone(), shared));
 
-    let outcome =
-        rl_search_with_engine(&joint_model, candidates, &shared, scfg, Arc::clone(&engine));
+    let (outcome, _) = rl_search_vec_with_stats(
+        &joint_model,
+        candidates,
+        &shared,
+        scfg,
+        1,
+        Arc::clone(&engine),
+    );
 
     // Floor: each model on its own best homogeneous shape, co-located.
     let mut stitched = Vec::with_capacity(joint_model.layers.len());
     for m in models {
-        let (shape, _) = best_homogeneous(m, cfg);
+        let (shape, _) = best_homogeneous(&EvalEngine::new(m.clone(), *cfg));
         stitched.extend(std::iter::repeat(shape).take(m.layers.len()));
     }
     let floor = engine.evaluate(&stitched);
@@ -176,7 +182,7 @@ mod tests {
         let (joint_model, _) = concat_models(&models);
         let mut stitched = Vec::new();
         for m in &models {
-            let (shape, _) = best_homogeneous(m, &cfg);
+            let (shape, _) = best_homogeneous(&EvalEngine::new(m.clone(), cfg));
             stitched.extend(std::iter::repeat(shape).take(m.layers.len()));
         }
         let floor = evaluate(&joint_model, &stitched, &cfg.with_tile_sharing());

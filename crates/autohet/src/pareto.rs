@@ -7,7 +7,7 @@
 //! designer would actually choose from: how much energy one extra point
 //! of utilization costs at each operating point.
 
-use crate::search::rl::{rl_search_with_engine, RlSearchConfig};
+use crate::search::rl::{rl_search_vec_with_stats, RlSearchConfig};
 use autohet_accel::{AccelConfig, EvalEngine, EvalReport};
 use autohet_dnn::Model;
 use autohet_xbar::XbarShape;
@@ -45,7 +45,8 @@ pub fn pareto_sweep(
     crate::par::par_map(alphas, |&alpha| {
         let mut s = *scfg;
         s.reward_weights = (alpha, 1.0);
-        let outcome = rl_search_with_engine(model, candidates, cfg, &s, Arc::clone(&engine));
+        let (outcome, _) =
+            rl_search_vec_with_stats(model, candidates, cfg, &s, 1, Arc::clone(&engine));
         ParetoPoint {
             alpha,
             strategy: outcome.best_strategy,

@@ -17,13 +17,11 @@
 //! cache. Seeded and deterministic: same config ⇒ same front.
 
 use crate::pareto::{crowding_distances, non_dominated_sort};
-use autohet_accel::{AccelConfig, EvalEngine, NoiseEvalConfig, NoisyEvalReport};
-use autohet_dnn::Model;
+use autohet_accel::{EvalEngine, NoisyEvalReport};
 use autohet_xbar::XbarShape;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// NSGA-II driver parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -137,29 +135,15 @@ impl RobustSearchOutcome {
     }
 }
 
-/// Run an NSGA-II search for `model` on an accelerator configured by
-/// `cfg`, pricing device variation per `noise`. Builds a fresh noisy
-/// engine; use [`nsga_search_with_engine`] to share caches across
-/// searches.
+/// Run an NSGA-II search on `engine`'s model and accelerator config,
+/// pricing device variation with the engine's noise oracle (it must be
+/// built with [`EvalEngine::with_noise`]). Deterministic in
+/// `(candidates, ncfg)` and the engine's model/config/noise seed — shared
+/// caches never change results, only speed.
 pub fn nsga_search(
-    model: &Model,
-    candidates: &[XbarShape],
-    cfg: &AccelConfig,
-    ncfg: &NsgaConfig,
-    noise: &NoiseEvalConfig,
-) -> RobustSearchOutcome {
-    let engine = Arc::new(EvalEngine::new(model.clone(), *cfg).with_noise(*noise));
-    nsga_search_with_engine(candidates, ncfg, engine)
-}
-
-/// [`nsga_search`] against a caller-provided engine (must be built with
-/// [`EvalEngine::with_noise`]). Deterministic in `(candidates, ncfg)`
-/// and the engine's model/config/noise seed — shared caches never change
-/// results, only speed.
-pub fn nsga_search_with_engine(
+    engine: &EvalEngine,
     candidates: &[XbarShape],
     ncfg: &NsgaConfig,
-    engine: Arc<EvalEngine>,
 ) -> RobustSearchOutcome {
     let _span = autohet_obs::trace::span("search.nsga");
     assert!(!candidates.is_empty(), "no candidate shapes");
@@ -181,7 +165,7 @@ pub fn nsga_search_with_engine(
                 .collect(),
         );
     }
-    let mut evals = evaluate_population(&pop, candidates, &engine);
+    let mut evals = evaluate_population(&pop, candidates, engine);
     let mut evaluations = pop.len() as u64;
     let mut history = vec![generation_stat(0, &evals)];
 
@@ -210,7 +194,7 @@ pub fn nsga_search_with_engine(
                 offspring.push(c2);
             }
         }
-        let off_evals = evaluate_population(&offspring, candidates, &engine);
+        let off_evals = evaluate_population(&offspring, candidates, engine);
         evaluations += offspring.len() as u64;
 
         // (μ+λ) environmental selection: fill by front, break ties in
@@ -270,7 +254,7 @@ pub fn nsga_search_with_engine(
 fn evaluate_population(
     pop: &[Vec<usize>],
     candidates: &[XbarShape],
-    engine: &Arc<EvalEngine>,
+    engine: &EvalEngine,
 ) -> Vec<RobustPoint> {
     crate::par::par_map(pop, |genes| {
         let strategy: Vec<XbarShape> = genes.iter().map(|&g| candidates[g]).collect();
@@ -331,6 +315,7 @@ fn mutate(genes: &mut [usize], n_candidates: usize, rate: f64, rng: &mut SmallRn
 mod tests {
     use super::*;
     use crate::pareto::dominates_min;
+    use autohet_accel::{AccelConfig, NoiseEvalConfig};
     use autohet_xbar::geometry::paper_hybrid_candidates;
 
     fn quick() -> NsgaConfig {
@@ -354,11 +339,9 @@ mod tests {
     fn search_produces_a_valid_front() {
         let m = autohet_dnn::zoo::micro_cnn();
         let out = nsga_search(
-            &m,
+            &EvalEngine::new(m.clone(), AccelConfig::default()).with_noise(quick_noise()),
             &paper_hybrid_candidates(),
-            &AccelConfig::default(),
             &quick(),
-            &quick_noise(),
         );
         assert!(!out.front.is_empty());
         assert_eq!(out.history.len(), 4);
@@ -386,11 +369,9 @@ mod tests {
         let m = autohet_dnn::zoo::micro_cnn();
         let run = || {
             nsga_search(
-                &m,
+                &EvalEngine::new(m.clone(), AccelConfig::default()).with_noise(quick_noise()),
                 &paper_hybrid_candidates(),
-                &AccelConfig::default(),
                 &quick(),
-                &quick_noise(),
             )
         };
         let a = run();
@@ -402,11 +383,9 @@ mod tests {
     fn picks_are_consistent_with_front() {
         let m = autohet_dnn::zoo::micro_cnn();
         let out = nsga_search(
-            &m,
+            &EvalEngine::new(m.clone(), AccelConfig::default()).with_noise(quick_noise()),
             &paper_hybrid_candidates(),
-            &AccelConfig::default(),
             &quick(),
-            &quick_noise(),
         );
         let robust = out.most_robust().unwrap();
         let rue = out.best_rue().unwrap();
@@ -424,11 +403,9 @@ mod tests {
             ..quick_noise()
         };
         let out = nsga_search(
-            &m,
+            &EvalEngine::new(m.clone(), AccelConfig::default()).with_noise(noise),
             &paper_hybrid_candidates(),
-            &AccelConfig::default(),
             &quick(),
-            &noise,
         );
         for p in &out.front {
             assert_eq!(p.noise_dev, 0.0);

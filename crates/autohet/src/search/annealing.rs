@@ -9,8 +9,7 @@
 //! *searching* the space.
 
 use crate::search::rl::{EpisodeRecord, SearchTiming};
-use autohet_accel::{AccelConfig, EvalEngine, EvalReport};
-use autohet_dnn::Model;
+use autohet_accel::{EvalEngine, EvalReport};
 use autohet_xbar::XbarShape;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -61,21 +60,11 @@ impl AnnealingOutcome {
     }
 }
 
-/// Run simulated annealing; returns the best strategy visited.
+/// Run simulated annealing on a (possibly shared) memoized engine; returns
+/// the best strategy visited. The annealer revisits states whenever a
+/// rejected mutation is proposed again, so the engine's strategy cache
+/// pays off within a single run.
 pub fn annealing_search(
-    model: &Model,
-    candidates: &[XbarShape],
-    cfg: &AccelConfig,
-    acfg: &AnnealingConfig,
-) -> AnnealingOutcome {
-    let engine = EvalEngine::new(model.clone(), *cfg);
-    annealing_search_with_engine(&engine, candidates, acfg)
-}
-
-/// [`annealing_search`] on an existing (possibly shared) memoized engine.
-/// The annealer revisits states whenever a rejected mutation is proposed
-/// again, so the engine's strategy cache pays off within a single run.
-pub fn annealing_search_with_engine(
     engine: &EvalEngine,
     candidates: &[XbarShape],
     acfg: &AnnealingConfig,
@@ -150,7 +139,7 @@ pub fn annealing_search_with_engine(
 mod tests {
     use super::*;
     use crate::search::exhaustive::exhaustive_search;
-    use autohet_accel::evaluate;
+    use autohet_accel::{evaluate, AccelConfig};
     use autohet_dnn::zoo;
     use autohet_xbar::geometry::paper_hybrid_candidates;
 
@@ -163,8 +152,16 @@ mod tests {
             seed: 2,
             ..AnnealingConfig::default()
         };
-        let a = annealing_search(&m, &paper_hybrid_candidates(), &cfg, &acfg);
-        let b = annealing_search(&m, &paper_hybrid_candidates(), &cfg, &acfg);
+        let a = annealing_search(
+            &EvalEngine::new(m.clone(), cfg),
+            &paper_hybrid_candidates(),
+            &acfg,
+        );
+        let b = annealing_search(
+            &EvalEngine::new(m.clone(), cfg),
+            &paper_hybrid_candidates(),
+            &acfg,
+        );
         assert_eq!(a.best_strategy, b.best_strategy);
         assert_eq!(a.best_rue(), b.best_rue());
         assert_eq!(a.history.len(), 40);
@@ -180,11 +177,10 @@ mod tests {
         let m = zoo::micro_cnn();
         let cfg = AccelConfig::default();
         let cands = paper_hybrid_candidates();
-        let (_, oracle) = exhaustive_search(&m, &cands, &cfg, 1_000);
+        let (_, oracle) = exhaustive_search(&EvalEngine::new(m.clone(), cfg), &cands, 1_000);
         let sa = annealing_search(
-            &m,
+            &EvalEngine::new(m.clone(), cfg),
             &cands,
-            &cfg,
             &AnnealingConfig {
                 iterations: 200,
                 seed: 5,
@@ -213,9 +209,8 @@ mod tests {
         let cands = paper_hybrid_candidates();
         let start = evaluate(&m, &vec![cands[cands.len() / 2]; m.layers.len()], &cfg);
         let sa = annealing_search(
-            &m,
+            &EvalEngine::new(m.clone(), cfg),
             &cands,
-            &cfg,
             &AnnealingConfig {
                 iterations: 30,
                 seed: 8,
@@ -230,7 +225,11 @@ mod tests {
         let m = zoo::micro_cnn();
         let cfg = AccelConfig::default();
         let cands = vec![XbarShape::square(64)];
-        let sa = annealing_search(&m, &cands, &cfg, &AnnealingConfig::default());
+        let sa = annealing_search(
+            &EvalEngine::new(m.clone(), cfg),
+            &cands,
+            &AnnealingConfig::default(),
+        );
         assert!(sa.best_strategy.iter().all(|&x| x == XbarShape::square(64)));
     }
 }

@@ -9,8 +9,7 @@
 
 use crate::env::AutoHetEnv;
 use crate::search::rl::{EpisodeRecord, SearchTiming};
-use autohet_accel::{AccelConfig, EvalEngine, EvalReport};
-use autohet_dnn::Model;
+use autohet_accel::{EvalEngine, EvalReport};
 use autohet_rl::{DiscreteExperience, Dqn, DqnConfig};
 use autohet_xbar::XbarShape;
 use serde::{Deserialize, Serialize};
@@ -55,36 +54,25 @@ impl DqnSearchOutcome {
     }
 }
 
-/// Run the DQN search (same protocol as [`crate::search::rl::rl_search`]).
+/// Run the DQN search (same protocol as [`crate::search::rl::rl_search`])
+/// on a (possibly shared) evaluation engine. Cached feedback is
+/// bit-identical to direct evaluation, so the outcome for a fixed seed is
+/// independent of the engine's prior contents.
 pub fn dqn_search(
-    model: &Model,
-    candidates: &[XbarShape],
-    cfg: &AccelConfig,
-    scfg: &DqnSearchConfig,
-) -> DqnSearchOutcome {
-    dqn_search_with_engine(
-        model,
-        candidates,
-        cfg,
-        scfg,
-        Arc::new(EvalEngine::new(model.clone(), *cfg)),
-    )
-}
-
-/// [`dqn_search`] on an existing (possibly shared) evaluation engine.
-/// Cached feedback is bit-identical to direct evaluation, so the outcome
-/// for a fixed seed is independent of the engine's prior contents.
-pub fn dqn_search_with_engine(
-    model: &Model,
-    candidates: &[XbarShape],
-    cfg: &AccelConfig,
-    scfg: &DqnSearchConfig,
     engine: Arc<EvalEngine>,
+    candidates: &[XbarShape],
+    scfg: &DqnSearchConfig,
 ) -> DqnSearchOutcome {
     let _span = autohet_obs::trace::span("search.dqn");
     let t0 = Instant::now();
     let stats0 = engine.stats();
-    let env = AutoHetEnv::with_shared_engine(model, candidates, *cfg, (1.0, 1.0), engine);
+    let env = AutoHetEnv::with_shared_engine(
+        engine.model(),
+        candidates,
+        *engine.config(),
+        (1.0, 1.0),
+        Arc::clone(&engine),
+    );
     let n = env.num_layers();
     let c = candidates.len();
     let mut agent = Dqn::new(DqnConfig {
@@ -171,6 +159,7 @@ pub fn dqn_search_with_engine(
 mod tests {
     use super::*;
     use crate::homogeneous::best_homogeneous;
+    use autohet_accel::AccelConfig;
     use autohet_dnn::zoo;
     use autohet_xbar::geometry::paper_hybrid_candidates;
 
@@ -196,8 +185,12 @@ mod tests {
         // that stalls below homo even at 90 episodes — the point here is
         // that a converged tiny-budget search beats the baseline, not
         // that every stream does.
-        let outcome = dqn_search(&m, &paper_hybrid_candidates(), &cfg, &quick(7, 60));
-        let (_, homo) = best_homogeneous(&m, &AccelConfig::default());
+        let outcome = dqn_search(
+            Arc::new(EvalEngine::new(m.clone(), cfg)),
+            &paper_hybrid_candidates(),
+            &quick(7, 60),
+        );
+        let (_, homo) = best_homogeneous(&EvalEngine::new(m.clone(), AccelConfig::default()));
         assert!(
             outcome.best_rue() >= homo.rue(),
             "dqn {} vs homo {}",
@@ -210,8 +203,16 @@ mod tests {
     fn dqn_search_is_deterministic() {
         let m = zoo::micro_cnn();
         let cfg = AccelConfig::default();
-        let a = dqn_search(&m, &paper_hybrid_candidates(), &cfg, &quick(4, 15));
-        let b = dqn_search(&m, &paper_hybrid_candidates(), &cfg, &quick(4, 15));
+        let a = dqn_search(
+            Arc::new(EvalEngine::new(m.clone(), cfg)),
+            &paper_hybrid_candidates(),
+            &quick(4, 15),
+        );
+        let b = dqn_search(
+            Arc::new(EvalEngine::new(m.clone(), cfg)),
+            &paper_hybrid_candidates(),
+            &quick(4, 15),
+        );
         assert_eq!(a.best_strategy, b.best_strategy);
     }
 
@@ -222,7 +223,11 @@ mod tests {
         let m = zoo::micro_cnn();
         let cfg = AccelConfig::default();
         let cands = paper_hybrid_candidates();
-        let dqn = dqn_search(&m, &cands, &cfg, &quick(2, 80));
+        let dqn = dqn_search(
+            Arc::new(EvalEngine::new(m.clone(), cfg)),
+            &cands,
+            &quick(2, 80),
+        );
         let ddpg = crate::search::rl::rl_search(
             &m,
             &cands,

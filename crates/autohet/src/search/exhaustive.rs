@@ -11,43 +11,41 @@
 //! [`EvalEngine`]; ties merge earliest-index-first, so the parallel result
 //! is exactly the serial one.
 
-use autohet_accel::{AccelConfig, EvalEngine, EvalReport};
-use autohet_dnn::Model;
+use autohet_accel::{EvalEngine, EvalReport};
 use autohet_xbar::XbarShape;
 
-/// Enumerate all strategies in parallel (panics if the space exceeds
-/// `limit` evaluations; default callers pass ~1e5). Returns the
-/// RUE-optimal one — identical to [`exhaustive_search_serial`].
+/// Enumerate all strategies on chunked scoped-thread workers sharing
+/// `engine` (panics if the space exceeds `limit` evaluations; default
+/// callers pass ~1e5). Returns the RUE-optimal one — identical to
+/// [`exhaustive_search_serial`].
 pub fn exhaustive_search(
-    model: &Model,
+    engine: &EvalEngine,
     candidates: &[XbarShape],
-    cfg: &AccelConfig,
     limit: u64,
 ) -> (Vec<XbarShape>, EvalReport) {
-    let engine = EvalEngine::new(model.clone(), *cfg);
-    exhaustive_search_with_engine(&engine, candidates, limit, true)
+    let workers = std::thread::available_parallelism()
+        .map(|w| w.get())
+        .unwrap_or(4);
+    enumerate(engine, candidates, limit, workers)
 }
 
 /// Single-threaded enumeration, kept as the reference implementation (and
 /// the serial arm of the `eval_cache` bench).
 pub fn exhaustive_search_serial(
-    model: &Model,
-    candidates: &[XbarShape],
-    cfg: &AccelConfig,
-    limit: u64,
-) -> (Vec<XbarShape>, EvalReport) {
-    let engine = EvalEngine::new(model.clone(), *cfg);
-    exhaustive_search_with_engine(&engine, candidates, limit, false)
-}
-
-/// Enumeration core over an existing engine. `parallel` selects chunked
-/// scoped-thread workers versus the single-threaded loop; both return the
-/// same strategy and report.
-pub fn exhaustive_search_with_engine(
     engine: &EvalEngine,
     candidates: &[XbarShape],
     limit: u64,
-    parallel: bool,
+) -> (Vec<XbarShape>, EvalReport) {
+    enumerate(engine, candidates, limit, 1)
+}
+
+/// Enumeration core: the odometer range split over at most `workers`
+/// chunks.
+fn enumerate(
+    engine: &EvalEngine,
+    candidates: &[XbarShape],
+    limit: u64,
+    workers: usize,
 ) -> (Vec<XbarShape>, EvalReport) {
     assert!(!candidates.is_empty());
     let n = engine.model().layers.len();
@@ -58,14 +56,7 @@ pub fn exhaustive_search_with_engine(
         "search space {space} exceeds limit {limit} (use rl_search instead)"
     );
 
-    let workers = if parallel {
-        std::thread::available_parallelism()
-            .map(|w| w.get())
-            .unwrap_or(4)
-            .min(space.max(1) as usize)
-    } else {
-        1
-    };
+    let workers = workers.min(space.max(1) as usize);
     if workers <= 1 {
         return best_in_range(engine, candidates, 0, space).expect("space >= 1");
     }
@@ -144,7 +135,7 @@ fn best_in_range(
 mod tests {
     use super::*;
     use crate::search::random::random_search;
-    use autohet_accel::evaluate;
+    use autohet_accel::{evaluate, AccelConfig};
     use autohet_dnn::zoo;
     use autohet_xbar::geometry::paper_hybrid_candidates;
 
@@ -153,8 +144,8 @@ mod tests {
         let m = zoo::micro_cnn();
         let cfg = AccelConfig::default();
         let cands = paper_hybrid_candidates();
-        let (_, oracle) = exhaustive_search(&m, &cands, &cfg, 1_000);
-        let (_, rand) = random_search(&m, &cands, &cfg, 50, 1);
+        let (_, oracle) = exhaustive_search(&EvalEngine::new(m.clone(), cfg), &cands, 1_000);
+        let (_, rand) = random_search(&EvalEngine::new(m.clone(), cfg), &cands, 50, 1);
         assert!(oracle.rue() >= rand.rue());
     }
 
@@ -163,7 +154,7 @@ mod tests {
         let m = zoo::micro_cnn();
         let cfg = AccelConfig::default();
         let cands = paper_hybrid_candidates();
-        let (_, oracle) = exhaustive_search(&m, &cands, &cfg, 1_000);
+        let (_, oracle) = exhaustive_search(&EvalEngine::new(m.clone(), cfg), &cands, 1_000);
         for &s in &cands {
             let homo = evaluate(&m, &vec![s; m.layers.len()], &cfg);
             assert!(oracle.rue() >= homo.rue());
@@ -175,7 +166,11 @@ mod tests {
     fn refuses_oversized_spaces() {
         let m = zoo::vgg16();
         let cands = paper_hybrid_candidates();
-        let _ = exhaustive_search(&m, &cands, &AccelConfig::default(), 10_000);
+        let _ = exhaustive_search(
+            &EvalEngine::new(m.clone(), AccelConfig::default()),
+            &cands,
+            10_000,
+        );
     }
 
     #[test]
@@ -185,7 +180,7 @@ mod tests {
         let m = zoo::micro_cnn();
         let cfg = AccelConfig::default();
         let cands = vec![XbarShape::square(32), XbarShape::square(256)];
-        let (_, best) = exhaustive_search(&m, &cands, &cfg, 100);
+        let (_, best) = exhaustive_search(&EvalEngine::new(m.clone(), cfg), &cands, 100);
         for &s in &cands {
             let homo = evaluate(&m, &vec![s; m.layers.len()], &cfg);
             assert!(best.rue() >= homo.rue());
@@ -200,8 +195,9 @@ mod tests {
             AccelConfig::default(),
             AccelConfig::default().with_tile_sharing(),
         ] {
-            let (sp, rp) = exhaustive_search(&m, &cands, &cfg, 1_000);
-            let (ss, rs) = exhaustive_search_serial(&m, &cands, &cfg, 1_000);
+            let (sp, rp) = exhaustive_search(&EvalEngine::new(m.clone(), cfg), &cands, 1_000);
+            let (ss, rs) =
+                exhaustive_search_serial(&EvalEngine::new(m.clone(), cfg), &cands, 1_000);
             assert_eq!(sp, ss);
             assert_eq!(rp, rs);
         }

@@ -12,8 +12,7 @@
 //!   which is exactly what the RL search can exploit.
 
 use crate::search::rl::SearchTiming;
-use autohet_accel::{AccelConfig, EvalEngine, EvalReport};
-use autohet_dnn::Model;
+use autohet_accel::{EvalEngine, EvalReport};
 use autohet_xbar::energy::{layer_energy, static_power};
 use autohet_xbar::latency::layer_latency_ns;
 use autohet_xbar::utilization::footprint;
@@ -39,21 +38,9 @@ impl GreedyOutcome {
     }
 }
 
-/// Pick each layer's candidate by Eq. 4 utilization.
-pub fn greedy_utilization(
-    model: &Model,
-    candidates: &[XbarShape],
-    cfg: &AccelConfig,
-) -> GreedyOutcome {
-    let engine = EvalEngine::new(model.clone(), *cfg);
-    greedy_utilization_with_engine(&engine, candidates)
-}
-
-/// [`greedy_utilization`] on an existing (possibly shared) memoized engine.
-pub fn greedy_utilization_with_engine(
-    engine: &EvalEngine,
-    candidates: &[XbarShape],
-) -> GreedyOutcome {
+/// Pick each layer's candidate by Eq. 4 utilization, evaluating the pick
+/// on a (possibly shared) memoized engine.
+pub fn greedy_utilization(engine: &EvalEngine, candidates: &[XbarShape]) -> GreedyOutcome {
     assert!(!candidates.is_empty());
     let _span = autohet_obs::trace::span("search.greedy_utilization");
     let t0 = Instant::now();
@@ -88,22 +75,9 @@ pub fn greedy_utilization_with_engine(
     }
 }
 
-/// Pick each layer's candidate by a standalone utilization/energy ratio.
-pub fn greedy_layerwise_rue(
-    model: &Model,
-    candidates: &[XbarShape],
-    cfg: &AccelConfig,
-) -> GreedyOutcome {
-    let engine = EvalEngine::new(model.clone(), *cfg);
-    greedy_layerwise_rue_with_engine(&engine, candidates)
-}
-
-/// [`greedy_layerwise_rue`] on an existing (possibly shared) memoized
-/// engine.
-pub fn greedy_layerwise_rue_with_engine(
-    engine: &EvalEngine,
-    candidates: &[XbarShape],
-) -> GreedyOutcome {
+/// Pick each layer's candidate by a standalone utilization/energy ratio,
+/// evaluating the pick on a (possibly shared) memoized engine.
+pub fn greedy_layerwise_rue(engine: &EvalEngine, candidates: &[XbarShape]) -> GreedyOutcome {
     assert!(!candidates.is_empty());
     let _span = autohet_obs::trace::span("search.greedy_rue");
     let t0 = Instant::now();
@@ -150,7 +124,7 @@ pub fn greedy_layerwise_rue_with_engine(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use autohet_accel::evaluate;
+    use autohet_accel::{evaluate, AccelConfig};
     use autohet_dnn::zoo;
     use autohet_xbar::geometry::{paper_hybrid_candidates, SQUARE_CANDIDATES};
 
@@ -159,7 +133,10 @@ mod tests {
         // VGG16 L4 (128×128×3³) fits 36×32 at exactly 100% — the greedy
         // must find it among the hybrid candidates.
         let m = zoo::vgg16();
-        let out = greedy_utilization(&m, &paper_hybrid_candidates(), &AccelConfig::default());
+        let out = greedy_utilization(
+            &EvalEngine::new(m.clone(), AccelConfig::default()),
+            &paper_hybrid_candidates(),
+        );
         // Both 36×32 and 72×64 fit this layer at exactly 100%; the tie
         // breaks toward the larger crossbar (fewer peripherals).
         let u = footprint(&m.layers[3], out.strategy[3]).utilization();
@@ -175,7 +152,7 @@ mod tests {
     fn greedy_utilization_beats_any_homogeneous_on_mapping_utilization() {
         let m = zoo::alexnet();
         let cfg = AccelConfig::default();
-        let out = greedy_utilization(&m, SQUARE_CANDIDATES.as_ref(), &cfg);
+        let out = greedy_utilization(&EvalEngine::new(m.clone(), cfg), SQUARE_CANDIDATES.as_ref());
         for s in SQUARE_CANDIDATES {
             let homo = evaluate(&m, &vec![s; m.layers.len()], &cfg);
             assert!(
@@ -194,8 +171,8 @@ mod tests {
         let m = zoo::vgg16();
         let cfg = AccelConfig::default();
         let cands = paper_hybrid_candidates();
-        let by_util = greedy_utilization(&m, &cands, &cfg);
-        let by_rue = greedy_layerwise_rue(&m, &cands, &cfg);
+        let by_util = greedy_utilization(&EvalEngine::new(m.clone(), cfg), &cands);
+        let by_rue = greedy_layerwise_rue(&EvalEngine::new(m.clone(), cfg), &cands);
         assert!(by_rue.rue() >= by_util.rue() * 0.99);
     }
 
@@ -203,7 +180,8 @@ mod tests {
     fn strategies_cover_all_layers() {
         let m = zoo::resnet152();
         let cfg = AccelConfig::default();
-        let out = greedy_layerwise_rue(&m, &paper_hybrid_candidates(), &cfg);
+        let out =
+            greedy_layerwise_rue(&EvalEngine::new(m.clone(), cfg), &paper_hybrid_candidates());
         assert_eq!(out.strategy.len(), 156);
     }
 
@@ -213,9 +191,9 @@ mod tests {
         // closing evaluation must be a strategy-cache hit.
         let m = zoo::micro_cnn();
         let engine = EvalEngine::new(m, AccelConfig::default());
-        let first = greedy_utilization_with_engine(&engine, &paper_hybrid_candidates());
+        let first = greedy_utilization(&engine, &paper_hybrid_candidates());
         assert_eq!(first.timing.cache.strategy_hits, 0);
-        let second = greedy_utilization_with_engine(&engine, &paper_hybrid_candidates());
+        let second = greedy_utilization(&engine, &paper_hybrid_candidates());
         assert_eq!(second.timing.cache.strategy_hits, 1);
         assert_eq!(first.strategy, second.strategy);
     }

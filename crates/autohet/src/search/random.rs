@@ -4,26 +4,14 @@
 //! RL agent has to beat this at an equal evaluation budget to demonstrate
 //! it learned anything (the exhaustive oracle bounds both from above).
 
-use autohet_accel::{AccelConfig, EvalEngine, EvalReport};
-use autohet_dnn::Model;
+use autohet_accel::{EvalEngine, EvalReport};
 use autohet_xbar::XbarShape;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// Evaluate `samples` uniform random strategies; return the best by RUE.
+/// Evaluate `samples` uniform random strategies on a (possibly shared)
+/// memoized engine; return the best by RUE.
 pub fn random_search(
-    model: &Model,
-    candidates: &[XbarShape],
-    cfg: &AccelConfig,
-    samples: usize,
-    seed: u64,
-) -> (Vec<XbarShape>, EvalReport) {
-    let engine = EvalEngine::new(model.clone(), *cfg);
-    random_search_with_engine(&engine, candidates, samples, seed)
-}
-
-/// [`random_search`] on an existing (possibly shared) memoized engine.
-pub fn random_search_with_engine(
     engine: &EvalEngine,
     candidates: &[XbarShape],
     samples: usize,
@@ -48,6 +36,7 @@ pub fn random_search_with_engine(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use autohet_accel::AccelConfig;
     use autohet_dnn::zoo;
     use autohet_xbar::geometry::paper_hybrid_candidates;
 
@@ -56,8 +45,8 @@ mod tests {
         let m = zoo::micro_cnn();
         let cfg = AccelConfig::default();
         let cands = paper_hybrid_candidates();
-        let (s1, r1) = random_search(&m, &cands, &cfg, 20, 9);
-        let (s2, r2) = random_search(&m, &cands, &cfg, 20, 9);
+        let (s1, r1) = random_search(&EvalEngine::new(m.clone(), cfg), &cands, 20, 9);
+        let (s2, r2) = random_search(&EvalEngine::new(m.clone(), cfg), &cands, 20, 9);
         assert_eq!(s1, s2);
         assert_eq!(r1.rue(), r2.rue());
         assert!(r1.rue() > 0.0);
@@ -68,8 +57,8 @@ mod tests {
         let m = zoo::micro_cnn();
         let cfg = AccelConfig::default();
         let cands = paper_hybrid_candidates();
-        let (_, small) = random_search(&m, &cands, &cfg, 5, 4);
-        let (_, large) = random_search(&m, &cands, &cfg, 50, 4);
+        let (_, small) = random_search(&EvalEngine::new(m.clone(), cfg), &cands, 5, 4);
+        let (_, large) = random_search(&EvalEngine::new(m.clone(), cfg), &cands, 50, 4);
         assert!(large.rue() >= small.rue());
     }
 }

@@ -216,158 +216,25 @@ impl SearchOutcome {
 }
 
 /// Run the RL search for `model` over `candidates` on an accelerator
-/// configured by `cfg`. Deterministic for a fixed `scfg.ddpg.seed`.
+/// configured by `cfg`: the paper's one-episode-at-a-time loop, which is
+/// [`rl_search_vec_with_stats`] at one lane on a fresh engine.
+/// Deterministic for a fixed `scfg.ddpg.seed`.
 pub fn rl_search(
     model: &Model,
     candidates: &[XbarShape],
     cfg: &AccelConfig,
     scfg: &RlSearchConfig,
 ) -> SearchOutcome {
-    rl_search_with_engine(
-        model,
-        candidates,
-        cfg,
-        scfg,
-        Arc::new(EvalEngine::new(model.clone(), *cfg)),
-    )
-}
-
-/// [`rl_search`] on an existing (possibly shared) evaluation engine —
-/// multi-seed runs, Pareto sweeps, and ablation stages with a common
-/// config share one memo table this way. Cached feedback is bit-identical
-/// to direct evaluation, so the outcome for a fixed seed is independent of
-/// the engine's prior contents.
-pub fn rl_search_with_engine(
-    model: &Model,
-    candidates: &[XbarShape],
-    cfg: &AccelConfig,
-    scfg: &RlSearchConfig,
-    engine: Arc<EvalEngine>,
-) -> SearchOutcome {
-    let _span = autohet_obs::trace::span("search.rl");
-    let t0 = Instant::now();
-    let engine = noise_ready_engine(scfg, engine);
-    let stats0 = engine.stats();
-    let env = AutoHetEnv::with_shared_engine(model, candidates, *cfg, scfg.reward_weights, engine);
-    let n = env.num_layers();
-    let mut agent = Ddpg::new(DdpgConfig {
-        state_dim: 10,
-        ..scfg.ddpg
-    });
-    let mut noise = OuNoise::new(scfg.noise_sigma, scfg.noise_decay, scfg.noise_min);
-    let warmup = scfg.warmup_episodes.min(scfg.episodes / 3);
-    let mut warmup_rng = SmallRng::seed_from_u64(scfg.ddpg.seed ^ 0x3A90);
-
-    let mut best: Option<(Vec<XbarShape>, EvalReport)> = None;
-    let mut best_reward = f64::NEG_INFINITY;
-    let mut history = Vec::with_capacity(scfg.episodes);
-    let mut timing = SearchTiming::default();
-
-    for episode in 0..scfg.episodes {
-        let _ep_span = autohet_obs::trace::span("search.episode");
-        let ep_stats = env.engine().stats();
-        // ---- Decision stage (① – ⑤): assign every layer.
-        let ta = Instant::now();
-        let mut actions = Vec::with_capacity(n);
-        let mut states = Vec::with_capacity(n + 1);
-        let (mut prev_a, mut prev_u) = (0.0, 0.0);
-        for k in 0..n {
-            let s = env.state(k, prev_a, prev_u);
-            let a = if episode < warmup {
-                warmup_rng.gen::<f64>()
-            } else {
-                agent.act_noisy(&s, &mut noise)
-            };
-            prev_a = a;
-            prev_u = env.layer_utilization(k, a);
-            states.push(s);
-            actions.push(a);
-        }
-        // Terminal state (the "next state" of the final layer).
-        states.push(env.state(n - 1, prev_a, prev_u));
-        timing.agent += ta.elapsed();
-
-        // ---- Hardware feedback (⑥ – ⑦).
-        let ts = Instant::now();
-        let strategy = env.decode(&actions);
-        let report = env.evaluate_strategy(&strategy);
-        let reward = penalized_reward(scfg, &env, &strategy, env.reward(&report));
-        timing.simulator += ts.elapsed();
-
-        history.push(EpisodeRecord {
-            episode,
-            rue: report.rue(),
-            reward,
-            utilization: report.utilization,
-            energy_nj: report.energy_nj(),
-            cache_hit_rate: env.engine().stats().since(&ep_stats).combined_hit_rate(),
-        });
-        // Track the best configuration by the (possibly weighted) search
-        // objective; at the default weights this is exactly best-RUE. The
-        // episode reward is computed once and the incumbent's is kept as a
-        // scalar, so no episode re-scores stored reports.
-        if reward > best_reward {
-            best_reward = reward;
-            best = Some((strategy, report));
-        }
-
-        // ---- Learning stage (⑧ – ⑫).
-        let ta = Instant::now();
-        for k in 0..n {
-            // `states[k]` is consumed here (its other use — as the next
-            // state of tuple k−1 — already happened), so each state vector
-            // is cloned once, not twice: the episode buffer is moved into
-            // the pool and only the forward-looking `next_state` copies.
-            agent.remember(Experience {
-                state: std::mem::take(&mut states[k]),
-                next_state: states[k + 1].clone(),
-                action: actions[k],
-                reward,
-                done: k + 1 == n,
-            });
-        }
-        noise.end_episode();
-        // Each train step runs the minibatch GEMM kernels (feature-major
-        // forward/backward in `autohet-rl`), whose fixed accumulation
-        // order keeps seeded searches bit-reproducible; see DESIGN.md §9.
-        for _ in 0..scfg.train_steps {
-            agent.train_step();
-        }
-        timing.agent += ta.elapsed();
-    }
-
-    timing.total = t0.elapsed();
-    timing.cache = env.engine().stats().since(&stats0);
-    let (best_strategy, best_report) = best.expect("episodes >= 1");
-    SearchOutcome {
-        best_strategy,
-        best_report,
-        history,
-        timing,
-    }
+    let engine = Arc::new(EvalEngine::new(model.clone(), *cfg));
+    rl_search_vec_with_stats(model, candidates, cfg, scfg, 1, engine).0
 }
 
 /// Run one search per seed on parallel workers sharing a single memoized
-/// engine; outcomes come back in seed order. Each worker runs the batched
-/// act path ([`rl_search_vec_with_engine`] at one lane), which is proven
-/// bit-identical to the sequential driver — so every result matches a
-/// standalone `rl_search` with that seed (the shared cache only changes
-/// speed, never values).
+/// engine, each worker driving `lanes` lockstep exploration environments;
+/// outcomes come back in seed order. Cached feedback is bit-identical to
+/// direct evaluation, so at `lanes == 1` every outcome equals a standalone
+/// [`rl_search`] with that seed (the shared cache only changes speed).
 pub fn rl_search_multi_seed(
-    model: &Model,
-    candidates: &[XbarShape],
-    cfg: &AccelConfig,
-    scfg: &RlSearchConfig,
-    seeds: &[u64],
-) -> Vec<SearchOutcome> {
-    rl_search_vec_multi_seed(model, candidates, cfg, scfg, seeds, 1)
-}
-
-/// [`rl_search_multi_seed`] with `lanes` lockstep exploration environments
-/// per seed: each worker drives its own vectorized search, all workers
-/// share one memo table. At `lanes == 1` every outcome is bit-identical to
-/// a standalone [`rl_search`].
-pub fn rl_search_vec_multi_seed(
     model: &Model,
     candidates: &[XbarShape],
     cfg: &AccelConfig,
@@ -380,7 +247,7 @@ pub fn rl_search_vec_multi_seed(
     crate::par::par_map(seeds, |&seed| {
         let mut s = *scfg;
         s.ddpg.seed = seed;
-        rl_search_vec_with_engine(model, candidates, cfg, &s, lanes, Arc::clone(&engine))
+        rl_search_vec_with_stats(model, candidates, cfg, &s, lanes, Arc::clone(&engine)).0
     })
 }
 
@@ -400,39 +267,6 @@ pub struct VecSearchStats {
     pub group_occupancy: Vec<f64>,
     /// Mean of `group_occupancy`.
     pub mean_occupancy: f64,
-}
-
-/// Vectorized RL search: `lanes` lockstep exploration environments over
-/// one shared agent and engine. Deterministic for a fixed
-/// `(scfg.ddpg.seed, lanes)`; at `lanes == 1` bit-identical to
-/// [`rl_search`].
-pub fn rl_search_vec(
-    model: &Model,
-    candidates: &[XbarShape],
-    cfg: &AccelConfig,
-    scfg: &RlSearchConfig,
-    lanes: usize,
-) -> SearchOutcome {
-    rl_search_vec_with_engine(
-        model,
-        candidates,
-        cfg,
-        scfg,
-        lanes,
-        Arc::new(EvalEngine::new(model.clone(), *cfg)),
-    )
-}
-
-/// [`rl_search_vec`] on an existing (possibly shared) evaluation engine.
-pub fn rl_search_vec_with_engine(
-    model: &Model,
-    candidates: &[XbarShape],
-    cfg: &AccelConfig,
-    scfg: &RlSearchConfig,
-    lanes: usize,
-    engine: Arc<EvalEngine>,
-) -> SearchOutcome {
-    rl_search_vec_with_stats(model, candidates, cfg, scfg, lanes, engine).0
 }
 
 /// Observation taps the vectorized driver feeds as it runs: a streaming
@@ -466,7 +300,13 @@ impl SearchTap<'_> {
     }
 }
 
-/// The full vectorized driver, also returning throughput counters.
+/// The DDPG driver: `lanes` lockstep exploration environments over one
+/// agent and an existing (possibly shared) evaluation engine, also
+/// returning throughput counters. Multi-seed runs, Pareto sweeps and
+/// ablation stages with a common config share one memo table this way;
+/// cached feedback is bit-identical to direct evaluation, so the outcome
+/// is independent of the engine's prior contents. Deterministic for a
+/// fixed `(scfg.ddpg.seed, lanes)`.
 ///
 /// Batching model (DESIGN.md §10): episodes advance in lockstep groups of
 /// up to `lanes`. Within a group, layer step `k` stacks all active lanes'
@@ -478,21 +318,13 @@ impl SearchTap<'_> {
 /// transitions in lane order and performs `scfg.train_steps` minibatch
 /// updates **per group** — the standard vectorized-DDPG schedule
 /// (gradient steps per rollout round, not per episode), which is where
-/// the episodes/sec win comes from and which makes `lanes == 1` reduce
-/// exactly to the sequential driver.
+/// the episodes/sec win comes from.
 ///
-/// N=1 bit-identity argument, piece by piece:
-/// - actions: `act_noisy_batch` over one lane performs the same forward
-///   and the same two RNG draws as `act_noisy`; warm-up groups draw from
-///   the same dedicated warm-up RNG in the same order;
-/// - noise schedule: each lane's OU process is re-seeded at group start
-///   from a master sigma schedule that replays the sequential
-///   `end_episode` decay exactly;
-/// - replay and training: transitions are pushed in (group, lane, step)
-///   order and the per-group `train_steps` equals the sequential
-///   per-episode count at one lane;
-/// - history/best: lanes are folded in ascending order, which is episode
-///   order at one lane.
+/// At `lanes == 1` a group is one episode, so this is the paper's
+/// per-episode loop ([`rl_search`]): the OU sigma decays once per
+/// episode, transitions are pushed in step order and every episode is
+/// followed by `train_steps` updates. `tests/golden_rl_search.rs` pins
+/// its seeded outputs bit for bit.
 pub fn rl_search_vec_with_stats(
     model: &Model,
     candidates: &[XbarShape],
@@ -525,7 +357,7 @@ pub fn rl_search_vec_tapped(
     engine: Arc<EvalEngine>,
     tap: &mut SearchTap<'_>,
 ) -> (SearchOutcome, VecSearchStats) {
-    let _span = autohet_obs::trace::span("search.rl_vec");
+    let _span = autohet_obs::trace::span("search.rl");
     assert!(lanes >= 1, "need at least one lane");
     assert!(scfg.episodes >= 1, "need at least one episode");
     let t0 = Instant::now();
@@ -544,8 +376,8 @@ pub fn rl_search_vec_tapped(
         .map(|_| OuNoise::new(scfg.noise_sigma, scfg.noise_decay, scfg.noise_min))
         .collect();
     // Master sigma schedule: lane `l` of the group starting at `episode`
-    // runs episode index `episode + l`, whose sigma under the sequential
-    // driver is `cur_sigma` after that many decays.
+    // runs episode index `episode + l`, whose sigma is `cur_sigma` after
+    // that many per-episode decays.
     let mut cur_sigma = scfg.noise_sigma;
 
     let mut best: Option<(Vec<XbarShape>, EvalReport)> = None;
@@ -581,9 +413,9 @@ pub fn rl_search_vec_tapped(
                 agent.act_noisy_batch(&flat_states, &mut noises[..active], &mut acts);
             } else {
                 // Mixed group: actor lanes still share one batched pass,
-                // warm-up lanes draw uniform actions; RNG order (warm-up
-                // stream, then agent stream per actor lane ascending) is
-                // the sequential order at one lane.
+                // warm-up lanes draw uniform actions in RNG order:
+                // warm-up stream, then agent stream per actor lane
+                // ascending.
                 acts.clear();
                 if warm_lanes < active {
                     mus.clear();
@@ -608,11 +440,10 @@ pub fn rl_search_vec_tapped(
         let ts = Instant::now();
         let episodes_done = venv.finish();
         // The noise oracle's memoized slices are pure functions of
-        // (layer, shape), so folding the penalty here — instead of inside
-        // the evaluation fan-out — preserves the lanes == 1 bit-identity;
-        // it happens before the cache window closes because the oracle's
-        // internal `evaluate` call lands in the episode's counters under
-        // the sequential driver too.
+        // (layer, shape), so the penalty is folded here, outside the
+        // evaluation fan-out; it happens before the cache window closes so
+        // the oracle's internal `evaluate` call lands in the group's
+        // counters.
         let rewards: Vec<f64> = episodes_done
             .iter()
             .map(|ep| penalized_reward(scfg, &env, &ep.strategy, ep.reward))
@@ -620,7 +451,7 @@ pub fn rl_search_vec_tapped(
         timing.simulator += ts.elapsed();
 
         // One cache window per group: the decision stage never touches the
-        // engine, so at one lane this is the sequential per-episode window.
+        // engine, so at one lane this is the per-episode window.
         let hit = env.engine().stats().since(&group_stats).combined_hit_rate();
 
         // ---- Learning stage: ingest lanes in order, then train per group.
@@ -715,7 +546,7 @@ mod tests {
         let m = zoo::micro_cnn();
         let cfg = AccelConfig::default().with_tile_sharing();
         let outcome = rl_search(&m, &paper_hybrid_candidates(), &cfg, &quick_cfg(1, 60));
-        let (_, homo) = best_homogeneous(&m, &AccelConfig::default());
+        let (_, homo) = best_homogeneous(&EvalEngine::new(m.clone(), AccelConfig::default()));
         assert!(
             outcome.best_rue() >= homo.rue(),
             "rl {} vs best homo {}",
@@ -835,12 +666,23 @@ mod tests {
             s[i % m.layers.len()] = c;
             engine.evaluate(&s);
         }
-        let warm = rl_search_with_engine(&m, &cands, &cfg, &quick_cfg(5, 12), engine);
+        let warm = rl_search_vec_with_stats(&m, &cands, &cfg, &quick_cfg(5, 12), 1, engine).0;
         assert_eq!(cold.best_strategy, warm.best_strategy);
         assert_eq!(cold.best_report, warm.best_report);
         let ra: Vec<f64> = cold.history.iter().map(|h| h.rue).collect();
         let rb: Vec<f64> = warm.history.iter().map(|h| h.rue).collect();
         assert_eq!(ra, rb);
+    }
+
+    /// The driver at `lanes` on a fresh engine.
+    fn vec_search(
+        m: &Model,
+        cfg: &AccelConfig,
+        scfg: &RlSearchConfig,
+        lanes: usize,
+    ) -> SearchOutcome {
+        let engine = Arc::new(EvalEngine::new(m.clone(), *cfg));
+        rl_search_vec_with_stats(m, &paper_hybrid_candidates(), cfg, scfg, lanes, engine).0
     }
 
     fn outcome_bits(o: &SearchOutcome) -> Vec<(usize, u64, u64, u64, u64, u64)> {
@@ -860,28 +702,11 @@ mod tests {
     }
 
     #[test]
-    fn vec_search_single_lane_is_bit_identical_to_sequential() {
-        // The tentpole's N=1 identity, across the warm-up boundary
-        // (warmup = min(60, 24/3) = 8 < 24 episodes).
-        let m = zoo::micro_cnn();
-        let cands = paper_hybrid_candidates();
-        let cfg = AccelConfig::default();
-        for seed in [0, 7, 42] {
-            let seq = rl_search(&m, &cands, &cfg, &quick_cfg(seed, 24));
-            let vec1 = rl_search_vec(&m, &cands, &cfg, &quick_cfg(seed, 24), 1);
-            assert_eq!(outcome_bits(&seq), outcome_bits(&vec1), "seed {seed}");
-            assert_eq!(seq.best_strategy, vec1.best_strategy);
-            assert_eq!(seq.best_report, vec1.best_report);
-        }
-    }
-
-    #[test]
     fn vec_search_multi_lane_is_seed_reproducible() {
         let m = zoo::micro_cnn();
-        let cands = paper_hybrid_candidates();
         let cfg = AccelConfig::default();
-        let a = rl_search_vec(&m, &cands, &cfg, &quick_cfg(11, 25), 4);
-        let b = rl_search_vec(&m, &cands, &cfg, &quick_cfg(11, 25), 4);
+        let a = vec_search(&m, &cfg, &quick_cfg(11, 25), 4);
+        let b = vec_search(&m, &cfg, &quick_cfg(11, 25), 4);
         assert_eq!(outcome_bits(&a), outcome_bits(&b));
         assert_eq!(a.best_strategy, b.best_strategy);
         assert_eq!(a.best_report, b.best_report);
@@ -916,8 +741,8 @@ mod tests {
         // headline claim on the micro model.
         let m = zoo::micro_cnn();
         let cfg = AccelConfig::default().with_tile_sharing();
-        let outcome = rl_search_vec(&m, &paper_hybrid_candidates(), &cfg, &quick_cfg(1, 60), 8);
-        let (_, homo) = best_homogeneous(&m, &AccelConfig::default());
+        let outcome = vec_search(&m, &cfg, &quick_cfg(1, 60), 8);
+        let (_, homo) = best_homogeneous(&EvalEngine::new(m.clone(), AccelConfig::default()));
         assert!(
             outcome.best_rue() >= homo.rue(),
             "vec rl {} vs best homo {}",
@@ -952,22 +777,6 @@ mod tests {
         }
         let again = rl_search(&m, &cands, &cfg, &pcfg);
         assert_eq!(outcome_bits(&pen), outcome_bits(&again));
-    }
-
-    #[test]
-    fn noise_penalized_vec_search_single_lane_is_bit_identical() {
-        let m = zoo::micro_cnn();
-        let cands = paper_hybrid_candidates();
-        let cfg = AccelConfig::default();
-        let scfg = RlSearchConfig {
-            noise_penalty: 2.0,
-            ..quick_cfg(7, 18)
-        };
-        let seq = rl_search(&m, &cands, &cfg, &scfg);
-        let vec1 = rl_search_vec(&m, &cands, &cfg, &scfg, 1);
-        assert_eq!(outcome_bits(&seq), outcome_bits(&vec1));
-        assert_eq!(seq.best_strategy, vec1.best_strategy);
-        assert_eq!(seq.best_report, vec1.best_report);
     }
 
     #[test]
@@ -1012,7 +821,7 @@ mod tests {
         let m = zoo::micro_cnn();
         let cands = paper_hybrid_candidates();
         let cfg = AccelConfig::default();
-        let outcomes = rl_search_multi_seed(&m, &cands, &cfg, &quick_cfg(0, 10), &[5, 9]);
+        let outcomes = rl_search_multi_seed(&m, &cands, &cfg, &quick_cfg(0, 10), &[5, 9], 1);
         assert_eq!(outcomes.len(), 2);
         let a = rl_search(&m, &cands, &cfg, &quick_cfg(5, 10));
         let b = rl_search(&m, &cands, &cfg, &quick_cfg(9, 10));

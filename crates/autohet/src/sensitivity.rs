@@ -8,7 +8,7 @@
 
 use crate::homogeneous::best_homogeneous;
 use crate::search::rl::{rl_search, RlSearchConfig};
-use autohet_accel::AccelConfig;
+use autohet_accel::{AccelConfig, EvalEngine};
 use autohet_dnn::Model;
 use autohet_xbar::geometry::mixed_candidates;
 use autohet_xbar::XbarShape;
@@ -43,7 +43,7 @@ fn autohet_point(
 ) -> SweepPoint {
     let shared = cfg.with_tile_sharing();
     let outcome = rl_search(model, &candidates, &shared, scfg);
-    let (_, homo) = best_homogeneous(model, cfg);
+    let (_, homo) = best_homogeneous(&EvalEngine::new(model.clone(), *cfg));
     SweepPoint {
         label,
         autohet_rue: outcome.best_report.rue(),

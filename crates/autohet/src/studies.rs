@@ -35,7 +35,7 @@
 //! - [`search_throughput_study`]: the paper quotes 49.2 min for a
 //!   300-round search (§4.5) but never varies the search driver itself;
 //!   this study scales the vectorized driver's lane count and reports
-//!   episodes/sec, speed-up over the sequential driver, and the best RUE
+//!   episodes/sec, speed-up over the one-lane run, and the best RUE
 //!   each batching level reaches (DESIGN.md §10).
 //! - [`robustness_study`]: the paper scores mappings on ideal devices;
 //!   this study prices lognormal device variation into the objective,
@@ -46,8 +46,9 @@
 
 use crate::homogeneous::best_homogeneous;
 use crate::par::par_map;
-use crate::robust::{nsga_search_with_engine, GenerationStat, NsgaConfig};
-use crate::search::greedy::{greedy_layerwise_rue, greedy_layerwise_rue_with_engine};
+use crate::robust::{nsga_search, GenerationStat, NsgaConfig};
+use crate::search::greedy::greedy_layerwise_rue;
+use crate::search::rl::{rl_search_vec_with_stats, RlSearchConfig};
 use autohet_accel::alloc::allocate_tile_based;
 use autohet_accel::tile_shared::{apply_tile_sharing, share_across_models};
 use autohet_accel::{
@@ -223,6 +224,16 @@ pub struct ServingStudyRow {
     pub fairness_index: f64,
 }
 
+/// The two strategies the serving-side studies deploy on `base`: the best
+/// homogeneous baseline applied to every layer, and the greedy
+/// layer-wise-RUE heterogeneous mapping over the paper's hybrid candidates.
+fn homo_and_greedy(model: &Model, base: &AccelConfig) -> (Vec<XbarShape>, Vec<XbarShape>) {
+    let engine = EvalEngine::new(model.clone(), *base);
+    let (homo_shape, _) = best_homogeneous(&engine);
+    let het = greedy_layerwise_rue(&engine, &paper_hybrid_candidates()).strategy;
+    (vec![homo_shape; model.layers.len()], het)
+}
+
 /// Serve `model` under four deployment configurations — {best homogeneous,
 /// greedy AutoHet} strategies × {tile-based, tile-shared} allocation —
 /// against the *same* seeded request stream.
@@ -236,9 +247,7 @@ pub fn serving_study(model: &Model, load: f64, seed: u64) -> Vec<ServingStudyRow
     let _span = autohet_obs::trace::span("study.serving");
     let base = AccelConfig::default();
     let shared = base.with_tile_sharing();
-    let (homo_shape, _) = best_homogeneous(model, &base);
-    let homo = vec![homo_shape; model.layers.len()];
-    let het = greedy_layerwise_rue(model, &paper_hybrid_candidates(), &base).strategy;
+    let (homo, het) = homo_and_greedy(model, &base);
     let configs: [(&str, &[XbarShape], &AccelConfig); 4] = [
         ("homogeneous/tile-based", &homo, &base),
         ("homogeneous/tile-shared", &homo, &shared),
@@ -427,9 +436,7 @@ pub fn fault_campaign(model: &Model, cfg: &FaultCampaignConfig) -> FaultCampaign
     assert!(cfg.replicas >= 1, "need at least one replica");
     let base = AccelConfig::default();
     let shared = base.with_tile_sharing();
-    let (homo_shape, _) = best_homogeneous(model, &base);
-    let homo = vec![homo_shape; model.layers.len()];
-    let het = greedy_layerwise_rue(model, &paper_hybrid_candidates(), &base).strategy;
+    let (homo, het) = homo_and_greedy(model, &base);
     let configs: [(&str, &[XbarShape], &AccelConfig); 4] = [
         ("homogeneous/tile-based", &homo, &base),
         ("homogeneous/tile-shared", &homo, &shared),
@@ -701,9 +708,7 @@ pub fn lifetime_campaign(model: &Model, cfg: &LifetimeCampaignConfig) -> Lifetim
     assert!(cfg.replicas >= 1, "need at least one replica");
     let base = AccelConfig::default();
     let shared = base.with_tile_sharing();
-    let (homo_shape, _) = best_homogeneous(model, &base);
-    let homo = vec![homo_shape; model.layers.len()];
-    let het = greedy_layerwise_rue(model, &paper_hybrid_candidates(), &base).strategy;
+    let (homo, het) = homo_and_greedy(model, &base);
     let configs: [(&str, &[XbarShape], &AccelConfig); 2] = [
         ("homogeneous/tile-based", &homo, &base),
         ("autohet/tile-shared", &het, &shared),
@@ -795,48 +800,42 @@ pub fn lifetime_campaign(model: &Model, cfg: &LifetimeCampaignConfig) -> Lifetim
 /// One lane-count point of [`search_throughput_study`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ThroughputRow {
-    /// Lockstep lane count (`0` marks the sequential reference driver).
+    /// Lockstep lane count.
     pub lanes: usize,
     /// Completed episodes per wall-clock second.
     pub episodes_per_sec: f64,
-    /// Speed-up over the sequential reference row.
+    /// Speed-up over the one-lane reference row.
     pub speedup: f64,
     /// Best RUE the run found — search quality at this batching level.
     pub best_rue: f64,
-    /// Mean lane occupancy across lockstep groups (1.0 for sequential).
+    /// Mean lane occupancy across lockstep groups.
     pub mean_occupancy: f64,
 }
 
-/// Throughput scaling of the vectorized search: run the sequential driver
-/// once as the reference row (`lanes == 0`), then
-/// [`rl_search_vec`](crate::search::rl::rl_search_vec) at each lane count.
-/// Every run gets a **fresh** engine so all rows pay the same cold-cache
-/// cost and the comparison isolates the driver, not memo warm-up.
+/// Throughput scaling of the vectorized search: the one-lane run (the
+/// paper's per-episode loop, [`rl_search`](crate::search::rl::rl_search))
+/// is the reference row, followed by
+/// [`rl_search_vec_with_stats`] at each other lane count. Every run gets a
+/// **fresh** engine so all rows pay the same cold-cache cost and the
+/// comparison isolates the driver, not memo warm-up.
 pub fn search_throughput_study(
     model: &Model,
     candidates: &[XbarShape],
     cfg: &AccelConfig,
-    scfg: &crate::search::rl::RlSearchConfig,
+    scfg: &RlSearchConfig,
     lane_counts: &[usize],
 ) -> Vec<ThroughputRow> {
-    let seq = crate::search::rl::rl_search(model, candidates, cfg, scfg);
-    let seq_eps = scfg.episodes as f64 / seq.timing.total.as_secs_f64().max(f64::MIN_POSITIVE);
-    let mut rows = vec![ThroughputRow {
-        lanes: 0,
-        episodes_per_sec: seq_eps,
-        speedup: 1.0,
-        best_rue: seq.best_rue(),
-        mean_occupancy: 1.0,
-    }];
-    for &lanes in lane_counts {
+    let mut rows: Vec<ThroughputRow> = Vec::with_capacity(lane_counts.len() + 1);
+    for lanes in std::iter::once(1).chain(lane_counts.iter().copied().filter(|&l| l != 1)) {
         let engine = Arc::new(EvalEngine::new(model.clone(), *cfg));
-        let (o, s) = crate::search::rl::rl_search_vec_with_stats(
-            model, candidates, cfg, scfg, lanes, engine,
-        );
+        let (o, s) = rl_search_vec_with_stats(model, candidates, cfg, scfg, lanes, engine);
+        let reference = rows
+            .first()
+            .map_or(s.episodes_per_sec, |r| r.episodes_per_sec);
         rows.push(ThroughputRow {
             lanes,
             episodes_per_sec: s.episodes_per_sec,
-            speedup: s.episodes_per_sec / seq_eps,
+            speedup: s.episodes_per_sec / reference,
             best_rue: o.best_rue(),
             mean_occupancy: s.mean_occupancy,
         });
@@ -959,11 +958,11 @@ pub fn robustness_study(model: &Model, cfg: &RobustnessStudyConfig) -> Robustnes
             &r,
         )
     });
-    let greedy = greedy_layerwise_rue_with_engine(&engine, &candidates).strategy;
+    let greedy = greedy_layerwise_rue(&engine, &candidates).strategy;
     let r = engine.evaluate_noisy(&greedy);
     rows.push(robustness_row("autohet/greedy".into(), greedy, &r));
 
-    let outcome = nsga_search_with_engine(&candidates, &cfg.nsga, Arc::clone(&engine));
+    let outcome = nsga_search(&engine, &candidates, &cfg.nsga);
     rows.extend(
         outcome
             .front
@@ -1260,18 +1259,21 @@ mod tests {
             &scfg,
             &[1, 4],
         );
-        assert_eq!(rows.len(), 3);
-        assert_eq!(rows[0].lanes, 0);
+        // The listed lane-1 run is the reference row, not a repeat.
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows[0].lanes, 1);
         assert_eq!(rows[0].speedup, 1.0);
-        assert_eq!(rows[1].lanes, 1);
-        assert_eq!(rows[2].lanes, 4);
+        assert_eq!(rows[0].mean_occupancy, 1.0);
+        assert_eq!(rows[1].lanes, 4);
         for r in &rows {
             assert!(r.episodes_per_sec > 0.0);
             assert!(r.best_rue > 0.0);
             assert!((0.0..=1.0).contains(&r.mean_occupancy));
         }
-        // Lanes == 1 is bit-identical search-wise, so quality matches.
-        assert_eq!(rows[1].best_rue.to_bits(), rows[0].best_rue.to_bits());
+        // The reference row is the standalone search.
+        let m_cands = paper_hybrid_candidates();
+        let seq = crate::search::rl::rl_search(&m, &m_cands, &AccelConfig::default(), &scfg);
+        assert_eq!(rows[0].best_rue.to_bits(), seq.best_rue().to_bits());
     }
 
     fn small_robustness() -> RobustnessStudyConfig {

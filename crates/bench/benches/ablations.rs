@@ -43,9 +43,8 @@ fn bench_studies(c: &mut Criterion) {
         };
         b.iter(|| {
             black_box(annealing_search(
-                &m,
+                &EvalEngine::new(m.clone(), cfg),
                 &paper_hybrid_candidates(),
-                &cfg,
                 &acfg,
             ))
         })
@@ -55,9 +54,8 @@ fn bench_studies(c: &mut Criterion) {
         let cfg = AccelConfig::default();
         b.iter(|| {
             black_box(greedy_layerwise_rue(
-                black_box(&m),
+                &EvalEngine::new(black_box(&m).clone(), cfg),
                 &paper_hybrid_candidates(),
-                &cfg,
             ))
         })
     });

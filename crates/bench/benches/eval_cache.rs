@@ -60,15 +60,20 @@ fn bench_eval_cache(c: &mut Criterion) {
     c.bench_function("eval_cache/exhaustive_serial_micro", |b| {
         b.iter(|| {
             black_box(exhaustive_search_serial(
-                black_box(&micro),
+                &EvalEngine::new(black_box(&micro).clone(), plain),
                 &cands,
-                &plain,
                 1_000,
             ))
         })
     });
     c.bench_function("eval_cache/exhaustive_parallel_micro", |b| {
-        b.iter(|| black_box(exhaustive_search(black_box(&micro), &cands, &plain, 1_000)))
+        b.iter(|| {
+            black_box(exhaustive_search(
+                &EvalEngine::new(black_box(&micro).clone(), plain),
+                &cands,
+                1_000,
+            ))
+        })
     });
 }
 

@@ -10,7 +10,12 @@ fn bench_fig3(c: &mut Criterion) {
     let model = zoo::vgg16();
     let cfg = AccelConfig::default();
     c.bench_function("fig3/homogeneous_reports_vgg16", |b| {
-        b.iter(|| black_box(homogeneous_reports(black_box(&model), &cfg)))
+        b.iter(|| {
+            black_box(homogeneous_reports(&EvalEngine::new(
+                black_box(&model).clone(),
+                cfg,
+            )))
+        })
     });
     c.bench_function("fig3/manual_hetero_vgg16", |b| {
         b.iter(|| black_box(manual_hetero_vgg16(black_box(&model), &cfg)))

@@ -20,7 +20,12 @@ fn bench_fig9(c: &mut Criterion) {
     let cfg = AccelConfig::default();
     for model in [zoo::alexnet(), zoo::vgg16()] {
         c.bench_function(&format!("fig9/homogeneous_sweep_{}", model.name), |b| {
-            b.iter(|| black_box(homogeneous_reports(black_box(&model), &cfg)))
+            b.iter(|| {
+                black_box(homogeneous_reports(&EvalEngine::new(
+                    black_box(&model).clone(),
+                    cfg,
+                )))
+            })
         });
     }
 }

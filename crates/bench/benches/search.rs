@@ -1,8 +1,7 @@
 //! End-to-end search benchmarks: the paper's 300-round DDPG search (§4.5
-//! quotes 49.2 min for VGG16) through the sequential driver and the
-//! vectorized lockstep driver at several lane counts. Snapshot results
-//! land in `BENCH_search.json` (episodes/sec and speed-up derived by
-//! `scripts/bench_snapshot.sh`).
+//! quotes 49.2 min for VGG16) at one lane (`rl_search`) and at several
+//! lockstep lane counts. Snapshot results land in `BENCH_search.json`
+//! (episodes/sec and speed-up derived by `scripts/bench_snapshot.sh`).
 //!
 //! Every iteration runs a full cold search — fresh agent, fresh memoized
 //! engine — so the numbers compare drivers, not cache warm-up.
@@ -11,6 +10,7 @@ use autohet::prelude::*;
 use autohet_rl::DdpgConfig;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
+use std::sync::Arc;
 
 const EPISODES: usize = 300;
 
@@ -31,12 +31,17 @@ fn bench_model(c: &mut Criterion, group: &str, model: &autohet_dnn::Model, lanes
     let scfg = search_cfg();
     let mut g = c.benchmark_group(group);
     g.throughput(Throughput::Elements(EPISODES as u64));
+    // `rl_search` is the driver at one lane; the row keeps its `seq`
+    // label so `BENCH_search.json` rows stay comparable across snapshots.
     g.bench_function("seq", |b| {
         b.iter(|| black_box(rl_search(model, &cands, &cfg, &scfg)))
     });
     for &n in lanes {
         g.bench_function(format!("vec{n}"), |b| {
-            b.iter(|| black_box(rl_search_vec(model, &cands, &cfg, &scfg, n)))
+            b.iter(|| {
+                let engine = Arc::new(EvalEngine::new(model.clone(), cfg));
+                black_box(rl_search_vec_with_stats(model, &cands, &cfg, &scfg, n, engine).0)
+            })
         });
     }
     g.finish();

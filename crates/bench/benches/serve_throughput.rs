@@ -1,13 +1,9 @@
 //! Serving-simulator throughput: simulated requests processed per
-//! wallclock second, single-threaded event loop vs. one worker per
-//! replica. The two modes produce bit-identical reports (asserted in
-//! autohet-serve's tests), so this bench isolates their speed.
+//! wallclock second through the global-FIFO event loop.
 
 use autohet_accel::AccelConfig;
 use autohet_dnn::zoo;
-use autohet_serve::{
-    run_serving, run_serving_parallel, BurstSpec, Deployment, ServeConfig, TenantSpec, Workload,
-};
+use autohet_serve::{run_serving, BurstSpec, Deployment, ServeConfig, TenantSpec, Workload};
 use autohet_xbar::XbarShape;
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
@@ -59,9 +55,6 @@ fn bench_serve_throughput(c: &mut Criterion) {
     g.throughput(Throughput::Elements(requests));
     g.bench_function("event_loop", |b| {
         b.iter(|| run_serving(black_box(&tenants), &wl, &cfg))
-    });
-    g.bench_function("multi_worker", |b| {
-        b.iter(|| run_serving_parallel(black_box(&tenants), &wl, &cfg))
     });
     g.finish();
 }

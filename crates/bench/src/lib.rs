@@ -192,7 +192,7 @@ pub fn fig3() -> Table {
         "Fig. 3 — VGG16: homogeneous baselines vs Manual-Hetero",
         &["accelerator", "utilization %", "energy nJ", "RUE"],
     );
-    for (shape, r) in homogeneous_reports(&m, &cfg) {
+    for (shape, r) in homogeneous_reports(&EvalEngine::new(m.clone(), cfg)) {
         t.push(vec![
             shape.to_string(),
             pct(r.utilization),
@@ -303,7 +303,7 @@ pub fn fig9(rc: &ReproConfig, models: &[Model]) -> Vec<Table> {
                     "norm energy",
                 ],
             );
-            let homos = homogeneous_reports(m, &cfg);
+            let homos = homogeneous_reports(&EvalEngine::new(m.clone(), cfg));
             let e_min = homos
                 .iter()
                 .map(|(_, r)| r.energy_nj())
@@ -454,7 +454,7 @@ pub fn table5(rc: &ReproConfig) -> Table {
         "Table 5 — area & latency, VGG16",
         &["accelerator", "area um^2", "latency ns"],
     );
-    for (shape, r) in homogeneous_reports(&m, &cfg) {
+    for (shape, r) in homogeneous_reports(&EvalEngine::new(m.clone(), cfg)) {
         t.push(vec![
             format!("SXB{}", shape.rows),
             sci(r.area_um2),
@@ -523,9 +523,8 @@ pub fn search_time(rc: &ReproConfig, model: &Model) -> Table {
 pub fn study_adc() -> Table {
     let m = zoo::vgg16();
     let strategy = autohet::search::greedy::greedy_layerwise_rue(
-        &m,
+        &EvalEngine::new(m.clone(), AccelConfig::default()),
         &paper_hybrid_candidates(),
-        &AccelConfig::default(),
     )
     .strategy;
     let mut t = Table::new(
@@ -611,14 +610,16 @@ pub fn comparators(rc: &ReproConfig, model: &Model) -> Table {
         ]);
     };
 
-    let (_, homo) = best_homogeneous(model, &plain);
+    let (_, homo) = best_homogeneous(&EvalEngine::new(model.clone(), plain));
     push("Best-Homo", &homo);
     let ddpg = rl_search(model, &cands, &cfg, &rc.search());
     push("DDPG (paper)", &ddpg.best_report);
+    // The comparators share one memo table; cached feedback is
+    // bit-identical to direct evaluation.
+    let engine = std::sync::Arc::new(EvalEngine::new(model.clone(), cfg));
     let dqn = dqn_search(
-        model,
+        std::sync::Arc::clone(&engine),
         &cands,
-        &cfg,
         &DqnSearchConfig {
             episodes: rc.episodes,
             dqn: DqnConfig {
@@ -630,9 +631,8 @@ pub fn comparators(rc: &ReproConfig, model: &Model) -> Table {
     );
     push("DQN", &dqn.best_report);
     let sa = annealing_search(
-        model,
+        &engine,
         &cands,
-        &cfg,
         &AnnealingConfig {
             iterations: rc.episodes,
             seed: rc.seed,
@@ -640,11 +640,11 @@ pub fn comparators(rc: &ReproConfig, model: &Model) -> Table {
         },
     );
     push("Annealing", &sa.best_report);
-    let gu = greedy_utilization(model, &cands, &cfg);
+    let gu = greedy_utilization(&engine, &cands);
     push("Greedy-util [29]", &gu.report);
-    let gr = greedy_layerwise_rue(model, &cands, &cfg);
+    let gr = greedy_layerwise_rue(&engine, &cands);
     push("Greedy-RUE", &gr.report);
-    let (_, rnd) = random_search(model, &cands, &cfg, rc.episodes, rc.seed);
+    let (_, rnd) = random_search(&engine, &cands, rc.episodes, rc.seed);
     push("Random", &rnd);
     t
 }
@@ -672,7 +672,7 @@ pub fn mobilenet(rc: &ReproConfig) -> Table {
             .map(|l| autohet_xbar::utilization::utilization(l, shape))
             .fold(f64::MAX, f64::min)
     };
-    for (shape, r) in homogeneous_reports(&m, &cfg) {
+    for (shape, r) in homogeneous_reports(&EvalEngine::new(m.clone(), cfg)) {
         t.push(vec![
             shape.to_string(),
             sci(r.rue()),
@@ -715,10 +715,10 @@ pub fn convergence(rc: &ReproConfig, model: &Model) -> Table {
 
     let ddpg = rl_search(model, &cands, &cfg, &rc.search());
     let ddpg_best = ddpg.rue_running_best();
+    let engine = std::sync::Arc::new(EvalEngine::new(model.clone(), cfg));
     let dqn = dqn_search(
-        model,
+        std::sync::Arc::clone(&engine),
         &cands,
-        &cfg,
         &DqnSearchConfig {
             episodes: rc.episodes,
             dqn: DqnConfig {
@@ -740,7 +740,7 @@ pub fn convergence(rc: &ReproConfig, model: &Model) -> Table {
         &["episodes", "DDPG", "DQN", "Random"],
     );
     for &cp in &checkpoints {
-        let (_, rnd) = random_search(model, &cands, &cfg, cp, rc.seed);
+        let (_, rnd) = random_search(&engine, &cands, cp, rc.seed);
         t.push(vec![
             cp.to_string(),
             sci(ddpg_best[cp - 1]),

@@ -1,5 +1,5 @@
-//! Streaming telemetry export: bounded-buffer sinks, fan-out, and a
-//! sim-time snapshot scheduler.
+//! Streaming telemetry export: bounded-buffer sinks and a schema-carrying
+//! row stream.
 //!
 //! The passive substrate dumps artifacts at end of run
 //! (`Series::to_csv`, `Registry::to_jsonl`); long campaigns need rows on
@@ -10,10 +10,6 @@
 //! - [`JsonlFileSink`]: buffered file sink that flushes when its bounded
 //!   buffer fills and on drop.
 //! - [`MemorySink`]: cloneable in-memory sink for tests.
-//! - [`FanOutSink`]: duplicates every line to several sinks.
-//! - [`SnapshotScheduler`]: converts a simulated clock into "how many
-//!   snapshots are due", so periodic exports key off *sim* time and stay
-//!   reproducible.
 //! - [`SeriesStream`]: schema-carrying JSONL row writer — the streaming
 //!   twin of [`Series`](crate::series::Series).
 //!
@@ -148,76 +144,6 @@ impl Sink for MemorySink {
     fn flush(&mut self) {}
 }
 
-/// Duplicates every line (and flush) to each inner sink, in order.
-#[derive(Default)]
-pub struct FanOutSink {
-    sinks: Vec<Box<dyn Sink>>,
-}
-
-impl FanOutSink {
-    pub fn new(sinks: Vec<Box<dyn Sink>>) -> Self {
-        FanOutSink { sinks }
-    }
-
-    pub fn push(&mut self, sink: Box<dyn Sink>) {
-        self.sinks.push(sink);
-    }
-}
-
-impl Sink for FanOutSink {
-    fn write_line(&mut self, line: &str) {
-        for s in &mut self.sinks {
-            s.write_line(line);
-        }
-    }
-
-    fn flush(&mut self) {
-        for s in &mut self.sinks {
-            s.flush();
-        }
-    }
-}
-
-/// Sim-time snapshot scheduler: tracks a period on a simulated clock and
-/// reports how many snapshot deadlines a given timestamp has crossed.
-/// Because it is driven purely by the caller's simulated time it is
-/// deterministic by construction — two runs advancing the same sim clock
-/// schedule identical snapshots.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SnapshotScheduler {
-    every_ns: u64,
-    next_ns: u64,
-}
-
-impl SnapshotScheduler {
-    /// Snapshots due at `every_ns`, `2*every_ns`, … (`every_ns` ≥ 1).
-    pub fn new(every_ns: u64) -> Self {
-        let every_ns = every_ns.max(1);
-        SnapshotScheduler {
-            every_ns,
-            next_ns: every_ns,
-        }
-    }
-
-    /// Number of snapshot deadlines at or before `t_ns` not yet
-    /// reported; advances past them. A big time jump reports every
-    /// deadline it skipped, so callers can emit catch-up snapshots (or
-    /// collapse them — the count is theirs to interpret).
-    pub fn due(&mut self, t_ns: u64) -> usize {
-        let mut n = 0;
-        while self.next_ns <= t_ns {
-            self.next_ns += self.every_ns;
-            n += 1;
-        }
-        n
-    }
-
-    /// The next deadline on the simulated clock.
-    pub fn next_deadline_ns(&self) -> u64 {
-        self.next_ns
-    }
-}
-
 /// Streaming twin of [`Series`](crate::series::Series): carries a column
 /// schema and writes each row as one JSONL object keyed by column name
 /// (`{"col_a":1,"col_b":2.5}`), so a partial file is still parseable
@@ -309,36 +235,6 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text, "aaaa\nbbbbbbbbbbbb\ncc\n");
         std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn fan_out_duplicates_lines() {
-        let a = MemorySink::new();
-        let b = MemorySink::new();
-        let mut fan = FanOutSink::new(vec![Box::new(a.clone()), Box::new(b.clone())]);
-        fan.write_line("x");
-        fan.flush();
-        assert_eq!(a.lines(), ["x"]);
-        assert_eq!(b.lines(), ["x"]);
-    }
-
-    #[test]
-    fn scheduler_counts_crossed_deadlines() {
-        let mut s = SnapshotScheduler::new(100);
-        assert_eq!(s.due(50), 0);
-        assert_eq!(s.due(100), 1);
-        assert_eq!(s.due(100), 0, "a deadline is reported once");
-        assert_eq!(s.due(450), 3, "t=200,300,400 were all crossed");
-        assert_eq!(s.next_deadline_ns(), 500);
-    }
-
-    #[test]
-    fn scheduler_is_deterministic_under_identical_clocks() {
-        let drive = || {
-            let mut s = SnapshotScheduler::new(7);
-            (0..40u64).map(|t| s.due(t * 3)).collect::<Vec<_>>()
-        };
-        assert_eq!(drive(), drive());
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //! - [`alert`]: a deterministic alert engine — threshold and multi-window
 //!   SLO burn-rate rules with a pending → firing → resolved state machine,
 //!   evaluated on simulated time so alert timelines are bit-reproducible.
-//! - [`export`]: streaming sinks (bounded-buffer JSONL file, in-memory,
-//!   fan-out) and a sim-time snapshot scheduler, so long campaigns flush
-//!   telemetry incrementally instead of only at end of run.
+//! - [`export`]: streaming sinks (bounded-buffer JSONL file, in-memory)
+//!   and a schema-carrying row stream, so long campaigns flush telemetry
+//!   incrementally instead of only at end of run.
 //! - [`regress`]: a perf-regression sentinel over the `BENCH_*.json`
 //!   min-of-N snapshots, with a noise-aware threshold and a JSONL verdict
 //!   artifact for CI.
@@ -53,7 +53,7 @@ pub use alert::{
     AlertEngine, AlertEvent, AlertKind, AlertRule, AlertTimeline, BurnRateRule, Comparison,
     ThresholdRule,
 };
-pub use export::{FanOutSink, JsonlFileSink, MemorySink, SeriesStream, Sink, SnapshotScheduler};
+pub use export::{JsonlFileSink, MemorySink, SeriesStream, Sink};
 pub use metrics::{Counter, Gauge, Histogram, MetricSnapshot, Registry, SnapshotValue};
 pub use regress::{
     compare, parse_snapshot, BenchSnapshot, RegressConfig, RegressReport, RegressRow, Verdict,

@@ -6,8 +6,8 @@
 //! (mean `mttr_ns`), drawn from a `SmallRng` stream derived from the spec
 //! seed and the replica id — the same derivation discipline as
 //! [`workload`](crate::workload) tenant streams. Because the plan is a
-//! pure function of `(spec, replicas, horizon)`, both serving drivers
-//! consult identical outage intervals, and failure handling stays inside
+//! pure function of `(spec, replicas, horizon)`, every run consults
+//! identical outage intervals, and failure handling stays inside
 //! the deterministic scheduling recurrence: a replica that is down at a
 //! dispatch instant simply advances its free time to the recovery edge
 //! (failover — the turn passes to surviving replicas), and a batch whose

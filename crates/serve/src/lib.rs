@@ -49,12 +49,10 @@
 //! ## Determinism
 //!
 //! The event loop is a recurrence: "the replica with the minimum free
-//! time takes the next dispatchable batch". [`run_serving`] evaluates the
-//! recurrence sequentially; [`run_serving_parallel`] runs one
-//! `crossbeam` worker per replica against shared state guarded by a
-//! `parking_lot` mutex, where a worker proceeds only while its replica
-//! *is* the minimum — so both modes execute the identical batch sequence
-//! and produce bit-identical [`ServingReport`]s (asserted by tests).
+//! time takes the next dispatchable batch". [`run_serving`] evaluates it
+//! on one thread, so the same (tenants, workload, config) always yields a
+//! bit-identical [`ServingReport`] (asserted by tests). Parallel serving
+//! is the sharded runtime's job ([`run_sharded_threaded`], below).
 //!
 //! ## Simplifications
 //!
@@ -91,7 +89,7 @@ pub mod workload;
 pub use deploy::Deployment;
 pub use drr::{DrrAccess, DrrRing};
 pub use failure::{FailurePlan, FailureSpec, Outage};
-pub use parallel::{run_serving_parallel, run_sharded_threaded};
+pub use parallel::run_sharded_threaded;
 pub use ready::{ReplicaPool, StampedHeap};
 pub use report::{jain_index, LatencyHistogram, ServingReport, TenantStats, WindowStats};
 pub use shard::{

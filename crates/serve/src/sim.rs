@@ -7,9 +7,8 @@
 //! precedes the dispatch. Because free times are non-decreasing across
 //! calls, candidate dispatch times only improve as arrivals are ingested,
 //! and ingestion is gated by the current best candidate, the resulting
-//! event order is causally consistent — and identical no matter whether
-//! the recurrence is evaluated by one thread ([`run_serving`]) or by one
-//! worker per replica ([`run_serving_parallel`](crate::parallel)).
+//! event order is causally consistent; [`run_serving`] evaluates the
+//! recurrence on one thread.
 
 use crate::failure::FailurePlan;
 use crate::ready::ReplicaPool;
@@ -26,7 +25,7 @@ use std::collections::VecDeque;
 /// linearly with the time since the replica was last recalibrated
 /// (`err_ppm_per_ms`, capped at `err_cap_ppm`). Per-request error
 /// decisions are keyed, order-free rolls on `(seed, replica, batch index,
-/// position)`, so both execution drivers agree bit for bit.
+/// position)`, so they do not depend on execution order.
 ///
 /// The monitor folds each completed batch's error fraction into a
 /// per-replica EWMA (`ewma_alpha_milli`); when the EWMA reaches
@@ -100,8 +99,8 @@ impl HealthSpec {
     }
 }
 
-/// Per-replica online health state (all integer, recurrence-ordered, so
-/// both execution drivers evolve it identically).
+/// Per-replica online health state (all integer and recurrence-ordered,
+/// so it evolves identically on every run).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct ReplicaHealth {
     /// Instant of the last successful recalibration/remap [ns].
@@ -144,11 +143,10 @@ impl HealthEventKind {
 }
 
 /// One timestamped replica-health transition. Recorded inside
-/// [`SimCore::apply_health`] — which both execution drivers call at the
-/// same point of the scheduling recurrence, under the lock — so the
-/// event sequence is bit-identical across the single-threaded and
-/// parallel drivers. Trips carry the batch completion instant; recovery
-/// outcomes carry the instant the replica came back (or gave up).
+/// [`SimCore::apply_health`] at a fixed point of the scheduling
+/// recurrence, so the event sequence is bit-identical across runs.
+/// Trips carry the batch completion instant; recovery outcomes carry the
+/// instant the replica came back (or gave up).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HealthEvent {
     /// Simulated instant of the transition [ns].
@@ -682,8 +680,7 @@ pub(crate) fn finish_batch(
 /// outage cuts short is killed at the failure edge, its requests retried
 /// within the deadline or dropped as failed. Outages and service times
 /// are both known at dispatch, so every batch's fate is resolved
-/// synchronously — which is what keeps the multi-worker driver
-/// bit-identical.
+/// synchronously.
 pub fn run_serving(tenants: &[TenantSpec], wl: &Workload, cfg: &ServeConfig) -> ServingReport {
     let _span = autohet_obs::trace::span("serve.run");
     cfg.validate();

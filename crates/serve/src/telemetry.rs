@@ -134,8 +134,7 @@ pub const DOWNTIME_RULE: &str = "serve.downtime";
 /// on the same timeline as an annotation (`health.trip`, `health.recal`,
 /// …, carrying the replica id as the value). Because the evaluation runs
 /// over the finished report on simulated time only, the timeline is
-/// bit-identical across runs and across the single-threaded and parallel
-/// drivers, and producing it cannot change the report.
+/// bit-identical across runs, and producing it cannot change the report.
 pub fn alert_timeline(report: &ServingReport, cfg: &ServeAlertConfig) -> AlertTimeline {
     let mut engine = AlertEngine::new()
         .with_rule(AlertRule::BurnRate(
@@ -510,11 +509,6 @@ mod tests {
         let t1 = alert_timeline(&single, &acfg);
         let t2 = alert_timeline(&run_serving(&tenants, &wl, &cfg), &acfg);
         assert_eq!(t1, t2, "identical runs must yield identical timelines");
-        let tp = alert_timeline(
-            &crate::parallel::run_serving_parallel(&tenants, &wl, &cfg),
-            &acfg,
-        );
-        assert_eq!(t1, tp, "drivers must agree on the alert timeline");
         assert!(!t1.for_rule("health.trip").is_empty());
         // Timestamps are sorted.
         assert!(t1.events.windows(2).all(|p| p[0].t_ns <= p[1].t_ns));

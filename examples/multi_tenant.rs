@@ -36,7 +36,7 @@ fn main() {
     let (joint_model, _) = concat_models(&models);
     let mut stitched = Vec::new();
     for m in &models {
-        let (shape, _) = best_homogeneous(m, &cfg);
+        let (shape, _) = best_homogeneous(&EvalEngine::new(m.clone(), cfg));
         println!("  {} best homogeneous: {shape}", m.name);
         stitched.extend(std::iter::repeat(shape).take(m.layers.len()));
     }

@@ -109,7 +109,7 @@ fn main() {
         train_steps: 4,
         ..RlSearchConfig::default()
     };
-    let ddpg = rl_search_with_engine(&model, &cands, &cfg, &scfg, engine.clone());
+    let ddpg = rl_search_vec_with_stats(&model, &cands, &cfg, &scfg, 1, engine.clone()).0;
     println!(
         "ddpg      best RUE {:.4}  cache: {}",
         ddpg.best_rue(),
@@ -149,7 +149,7 @@ fn main() {
         },
         train_steps: 4,
     };
-    let dqn = dqn_search_with_engine(&model, &cands, &cfg, &dcfg, engine.clone());
+    let dqn = dqn_search(engine.clone(), &cands, &dcfg);
     println!(
         "dqn       best RUE {:.4}  cache: {}",
         dqn.best_rue(),
@@ -164,7 +164,7 @@ fn main() {
         seed: 7,
         ..AnnealingConfig::default()
     };
-    let sa = annealing_search_with_engine(&engine, &cands, &acfg);
+    let sa = annealing_search(&engine, &cands, &acfg);
     println!(
         "annealing best RUE {:.4}  cache: {}",
         sa.best_rue(),
@@ -174,13 +174,13 @@ fn main() {
     add_rows(2, &sa.history);
 
     // --- Greedy comparators (no trajectory, cache delta only) ----------
-    let gu = greedy_utilization_with_engine(&engine, &cands);
+    let gu = greedy_utilization(&engine, &cands);
     println!(
         "greedy-u  RUE      {:.4}  cache: {}",
         gu.rue(),
         gu.timing.cache
     );
-    let gr = greedy_layerwise_rue_with_engine(&engine, &cands);
+    let gr = greedy_layerwise_rue(&engine, &cands);
     println!(
         "greedy-r  RUE      {:.4}  cache: {}",
         gr.rue(),

@@ -22,9 +22,10 @@ fn main() {
     //    1-bit cells, 10-bit ADCs) plus the tile-shared scheme.
     let cfg = AccelConfig::default().with_tile_sharing();
 
-    // 3. Homogeneous baselines.
+    // 3. Homogeneous baselines, on the plain (tile-based) accelerator.
+    let baseline = EvalEngine::new(model.clone(), AccelConfig::default());
     println!("\n-- homogeneous baselines --");
-    for (shape, r) in homogeneous_reports(&model, &AccelConfig::default()) {
+    for (shape, r) in homogeneous_reports(&baseline) {
         println!(
             "{:>9}: util {:5.1}%  energy {:10.3e} nJ  RUE {:9.3e}",
             shape.to_string(),
@@ -57,7 +58,7 @@ fn main() {
         println!("    L{:<2} -> {s}", i + 1);
     }
 
-    let (_, best_homo) = best_homogeneous(&model, &AccelConfig::default());
+    let (_, best_homo) = best_homogeneous(&baseline);
     println!(
         "\nRUE improvement over best homogeneous: {:.2}x",
         r.rue() / best_homo.rue()

@@ -17,10 +17,13 @@ use autohet::search::greedy::greedy_layerwise_rue;
 /// AutoHet strategy.
 fn deploy(model: &autohet_dnn::Model, hetero: bool, cfg: &AccelConfig) -> Deployment {
     let (label, strategy) = if hetero {
-        let out = greedy_layerwise_rue(model, &paper_hybrid_candidates(), cfg);
+        let out = greedy_layerwise_rue(
+            &EvalEngine::new(model.clone(), *cfg),
+            &paper_hybrid_candidates(),
+        );
         (format!("{}/autohet", model.name), out.strategy)
     } else {
-        let (shape, _) = best_homogeneous(model, cfg);
+        let (shape, _) = best_homogeneous(&EvalEngine::new(model.clone(), *cfg));
         (
             format!("{}/homogeneous", model.name),
             vec![shape; model.layers.len()],
@@ -77,7 +80,7 @@ fn main() {
             .zip(rates.iter().zip(&slos))
             .map(|(m, (&rate, &slo))| TenantSpec::new(&m.name, deploy(m, hetero, &cfg), rate, slo))
             .collect();
-        let report = run_serving_parallel(&fleet, &wl, &serve);
+        let report = run_serving(&fleet, &wl, &serve);
         println!(
             "--- {} strategies ---",
             if hetero { "autohet" } else { "homogeneous" }

@@ -5,6 +5,10 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
+# The benchmark (BENCHMARK.json) is a workspace of its own, so the root
+# build never compiles it; build it here so a renamed or removed public
+# name it calls fails the gate.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
 cargo test -q
 # Smoke-run the kernel and end-to-end search benches (with real criterion,
 # --test runs each closure once; the offline stub just times a short run)

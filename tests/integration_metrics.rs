@@ -68,7 +68,7 @@ fn rue_magnitudes_track_model_scale() {
     // The paper's RUE axes: AlexNet ~1e-4, VGG16 ~1e-5, ResNet152 ~1e-7 —
     // RUE shrinks as workloads grow. Check the ordering and rough decades.
     let cfg = AccelConfig::default();
-    let rue = |m: &autohet_dnn::Model| best_homogeneous(m, &cfg).1.rue();
+    let rue = |m: &autohet_dnn::Model| best_homogeneous(&EvalEngine::new(m.clone(), cfg)).1.rue();
     let alex = rue(&zoo::alexnet());
     let vgg = rue(&zoo::vgg16());
     let resnet = rue(&zoo::resnet152());

@@ -25,7 +25,7 @@ fn rl_matches_the_exhaustive_oracle_on_micro_cnn() {
     let m = autohet_dnn::zoo::micro_cnn();
     let cfg = AccelConfig::default().with_tile_sharing();
     let cands = paper_hybrid_candidates();
-    let (_, oracle) = exhaustive_search(&m, &cands, &cfg, 1_000);
+    let (_, oracle) = exhaustive_search(&EvalEngine::new(m.clone(), cfg), &cands, 1_000);
     let outcome = rl_search(&m, &cands, &cfg, &quick(3, 120));
     assert!(
         outcome.best_rue() >= oracle.rue() * 0.95,
@@ -42,7 +42,7 @@ fn rl_beats_random_search_at_equal_budget() {
     let cands = paper_hybrid_candidates();
     let budget = 80;
     let outcome = rl_search(&m, &cands, &cfg, &quick(7, budget));
-    let (_, rand) = random_search(&m, &cands, &cfg, budget, 7);
+    let (_, rand) = random_search(&EvalEngine::new(m.clone(), cfg), &cands, budget, 7);
     assert!(
         outcome.best_rue() >= rand.rue() * 0.98,
         "rl {} vs random {}",
@@ -61,7 +61,7 @@ fn autohet_beats_best_homogeneous_on_alexnet() {
         &AccelConfig::default().with_tile_sharing(),
         &quick(1, 80),
     );
-    let (_, homo) = best_homogeneous(&m, &AccelConfig::default());
+    let (_, homo) = best_homogeneous(&EvalEngine::new(m.clone(), AccelConfig::default()));
     assert!(
         outcome.best_rue() > homo.rue(),
         "AutoHet {} vs best homo {}",
@@ -75,9 +75,10 @@ fn greedy_searches_are_dominated_by_the_oracle() {
     let m = autohet_dnn::zoo::micro_cnn();
     let cfg = AccelConfig::default();
     let cands = paper_hybrid_candidates();
-    let (_, oracle) = exhaustive_search(&m, &cands, &cfg, 1_000);
-    let gu = greedy_utilization(&m, &cands, &cfg);
-    let gr = greedy_layerwise_rue(&m, &cands, &cfg);
+    let engine = EvalEngine::new(m.clone(), cfg);
+    let (_, oracle) = exhaustive_search(&engine, &cands, 1_000);
+    let gu = greedy_utilization(&engine, &cands);
+    let gr = greedy_layerwise_rue(&engine, &cands);
     assert!(oracle.rue() >= gu.rue());
     assert!(oracle.rue() >= gr.rue());
 }
@@ -100,7 +101,7 @@ fn heterogeneity_shines_on_depthwise_workloads() {
     );
     // A homogeneous design is forced to waste: on the RUE-best shape the
     // depthwise stages utilize crossbars terribly.
-    let (shape, homo) = best_homogeneous(&m, &AccelConfig::default());
+    let (shape, homo) = best_homogeneous(&EvalEngine::new(m.clone(), AccelConfig::default()));
     let dw_util: Vec<f64> = m
         .layers
         .iter()

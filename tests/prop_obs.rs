@@ -106,12 +106,11 @@ proptest! {
 
     // A serving run — including the per-window telemetry, which lives in
     // the simulated accounting, not the recorder — is unchanged by the
-    // tracer, in both the sequential and the parallel driver.
+    // tracer.
     #[test]
     fn serving_is_bit_identical_with_the_recorder_on(
         seed in 0u64..1_000_000,
         windows in 0usize..6,
-        parallel in any::<bool>(),
     ) {
         let _g = TRACER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let model = small_model();
@@ -128,13 +127,7 @@ proptest! {
             telemetry_windows: windows,
             ..ServeConfig::default()
         };
-        let (off, on) = with_and_without_tracer(|| {
-            if parallel {
-                run_serving_parallel(&tenants, &wl, &cfg)
-            } else {
-                run_serving(&tenants, &wl, &cfg)
-            }
-        });
+        let (off, on) = with_and_without_tracer(|| run_serving(&tenants, &wl, &cfg));
         prop_assert_eq!(off, on);
     }
 }
@@ -144,11 +137,10 @@ proptest! {
 
     // The alert engine is a post-hoc pass over the report: evaluating it
     // must not perturb the serving results, and the timeline itself must
-    // be deterministic — across repeated runs and across the sequential
-    // vs. parallel drivers — even with drift + recovery emitting health
-    // annotations onto it.
+    // be deterministic across repeated runs, even with drift + recovery
+    // emitting health annotations onto it.
     #[test]
-    fn alert_timeline_is_deterministic_and_driver_agnostic(
+    fn alert_timeline_is_deterministic(
         seed in 0u64..1_000_000,
         drift in any::<bool>(),
     ) {
@@ -177,14 +169,9 @@ proptest! {
         // exactly the one an alert-free consumer would see.
         let t1 = alert_timeline(&plain, &acfg);
         prop_assert_eq!(&plain, &run_serving(&tenants, &wl, &cfg));
-        // Identical runs yield identical timelines, and the parallel
-        // driver lands every alert and health annotation on the same
-        // simulated-time instants as the sequential recurrence.
+        // Identical runs land every alert and health annotation on the
+        // same simulated-time instants.
         prop_assert_eq!(&t1, &alert_timeline(&run_serving(&tenants, &wl, &cfg), &acfg));
-        prop_assert_eq!(
-            &t1,
-            &alert_timeline(&run_serving_parallel(&tenants, &wl, &cfg), &acfg)
-        );
         // Timeline events are emitted in simulated-time order.
         prop_assert!(t1.events.windows(2).all(|p| p[0].t_ns <= p[1].t_ns));
     }

@@ -128,11 +128,9 @@ fn nsga_front_members_are_mutually_non_dominated() {
     let m = autohet_dnn::zoo::micro_cnn();
     for scale in [1.0, 0.5] {
         let out = nsga_search(
-            &m,
+            &EvalEngine::new(m.clone(), AccelConfig::default()).with_noise(quick_noise(scale)),
             &paper_hybrid_candidates(),
-            &AccelConfig::default(),
             &quick_nsga(),
-            &quick_noise(scale),
         );
         assert!(!out.front.is_empty());
         for a in &out.front {
@@ -162,11 +160,9 @@ fn fronts_shrink_monotonically_under_tighter_noise() {
     let m = autohet_dnn::zoo::micro_cnn();
     let run = |scale: f64| {
         nsga_search(
-            &m,
+            &EvalEngine::new(m.clone(), AccelConfig::default()).with_noise(quick_noise(scale)),
             &paper_hybrid_candidates(),
-            &AccelConfig::default(),
             &quick_nsga(),
-            &quick_noise(scale),
         )
     };
     let fronts: Vec<_> = [1.0, 0.5, 0.0].iter().map(|&s| run(s)).collect();
