@@ -3,8 +3,8 @@
 //! energy — plus the full reports for observability.
 
 use autohet_accel::{
-    evaluate, pipeline_report, AccelConfig, DegradedEvalReport, EvalEngine, EvalReport,
-    FaultedEvalReport, PipelineReport, RepairReport,
+    evaluate, pipeline_report, AccelConfig, DegradedEvalReport, EvalReport, FaultedEvalReport,
+    PipelineReport, RepairReport,
 };
 use autohet_dnn::Model;
 use autohet_xbar::XbarShape;
@@ -36,16 +36,6 @@ impl Deployment {
             name: name.to_string(),
             pipeline: pipeline_report(model, strategy, cfg),
             eval: evaluate(model, strategy, cfg),
-        }
-    }
-
-    /// [`Self::compile`] against an existing memoized engine (reuses its
-    /// model/config and strategy cache for the evaluation half).
-    pub fn with_engine(name: &str, engine: &EvalEngine, strategy: &[XbarShape]) -> Self {
-        Deployment {
-            name: name.to_string(),
-            pipeline: pipeline_report(engine.model(), strategy, engine.config()),
-            eval: engine.evaluate(strategy),
         }
     }
 
@@ -94,12 +84,12 @@ impl Deployment {
         }
     }
 
-    /// Service time for a batch of `n` requests [ns] (integer, ≥ 1).
+    /// Service time for a batch of `n` requests \[ns\] (integer, ≥ 1).
     pub fn service_ns(&self, n: usize) -> u64 {
         self.pipeline.batch_service_ns(n)
     }
 
-    /// Energy charged per served request [nJ].
+    /// Energy charged per served request \[nJ\].
     pub fn energy_per_request_nj(&self) -> f64 {
         self.eval.energy_nj()
     }
@@ -113,6 +103,7 @@ impl Deployment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use autohet_accel::EvalEngine;
     use autohet_dnn::zoo;
 
     #[test]
@@ -127,17 +118,6 @@ mod tests {
         assert!(d.service_ns(8) > d.service_ns(1));
         assert!(d.energy_per_request_nj() > 0.0);
         assert!(d.max_rate_rps() > 0.0);
-    }
-
-    #[test]
-    fn engine_path_is_identical_to_direct_path() {
-        let m = zoo::lenet5();
-        let strategy = vec![XbarShape::new(72, 64); m.layers.len()];
-        let cfg = AccelConfig::default().with_tile_sharing();
-        let engine = EvalEngine::new(m.clone(), cfg);
-        let a = Deployment::compile("a", &m, &strategy, &cfg);
-        let b = Deployment::with_engine("a", &engine, &strategy);
-        assert_eq!(a, b);
     }
 
     #[test]

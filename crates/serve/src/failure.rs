@@ -7,14 +7,14 @@
 //! seed and the replica id — the same derivation discipline as
 //! [`workload`](crate::workload) tenant streams. Because the plan is a
 //! pure function of `(spec, replicas, horizon)`, every run consults
-//! identical outage intervals, and failure handling stays inside
-//! the deterministic scheduling recurrence: a replica that is down at a
-//! dispatch instant simply advances its free time to the recovery edge
+//! identical outage intervals, and failure handling stays inside the
+//! deterministic scheduling recurrence of the serving scheduler's FIFO
+//! front ([`run_serving`](crate::run_serving)): a replica that is down at
+//! a dispatch instant simply advances its free time to the recovery edge
 //! (failover — the turn passes to surviving replicas), and a batch whose
-//! service window an outage cuts into is killed at the failure edge with
-//! its requests retried or dropped (see [`SimCore::requeue`]).
-//!
-//! [`SimCore::requeue`]: crate::sim::SimCore
+//! service window an outage cuts into is killed at the failure edge, its
+//! requests back at the head of their queue within the retry deadline
+//! (`ServeConfig::retry_deadline_ns`) and dropped as failed past it.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -23,9 +23,9 @@ use serde::{Deserialize, Serialize};
 /// Failure process parameters for the replica fleet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FailureSpec {
-    /// Mean time between failures per replica [ns] (exponential).
+    /// Mean time between failures per replica \[ns\] (exponential).
     pub mtbf_ns: u64,
-    /// Mean time to recovery per outage [ns] (exponential, ≥ 1 ns).
+    /// Mean time to recovery per outage \[ns\] (exponential, ≥ 1 ns).
     pub mttr_ns: u64,
     /// Seed of the failure process (independent of the workload seed).
     pub seed: u64,
@@ -41,9 +41,9 @@ impl FailureSpec {
 /// One outage interval: the replica is down on `[down_ns, up_ns)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Outage {
-    /// Failure edge [ns].
+    /// Failure edge \[ns\].
     pub down_ns: u64,
-    /// Recovery edge [ns] (exclusive; the replica serves again at `up_ns`).
+    /// Recovery edge \[ns\] (exclusive; the replica serves again at `up_ns`).
     pub up_ns: u64,
 }
 

@@ -25,22 +25,23 @@
 //!   one batch; batch latency is the pipeline's
 //!   `fill + (n − 1) × bottleneck` law.
 //! - **Replicas** are identical accelerator instances. Each batch goes to
-//!   the earliest-free replica (ties: lowest replica id); among
-//!   dispatchable tenants the oldest head request wins (ties: lowest
-//!   tenant id).
-//!
-//! - **Failures** (optional): replica instances fail and recover on a
-//!   seeded alternating renewal schedule ([`FailureSpec`] →
-//!   [`FailurePlan`]). A down replica is skipped at dispatch time
-//!   (failover to survivors); a batch interrupted mid-service is killed
-//!   and its requests retried — back at the queue front, keeping FIFO by
-//!   arrival — unless their retry deadline has passed, in which case they
-//!   count as failed. Completed requests that survived a kill are
-//!   reported per tenant as `degraded_completed`.
-//! - **Drift & recovery** (optional): with a [`HealthSpec`] configured,
-//!   each replica accumulates conductance drift — per-request result
-//!   corruption whose probability grows with the time since the last
-//!   recalibration. An online monitor EWMAs each replica's batch error
+//!   the earliest-free replica (ties: lowest replica id). Which
+//!   dispatchable tenant it serves is the scheduler's *pick rule*:
+//!   global FIFO in [`run_serving`] (the oldest head request wins, ties
+//!   to the lowest tenant id), weighted deficit round-robin in
+//!   [`run_sharded`].
+//! - **Failures** (optional, [`run_serving`]): replica instances fail
+//!   and recover on a seeded alternating renewal schedule
+//!   ([`FailureSpec`] → [`FailurePlan`]). A down replica is skipped at
+//!   dispatch time (failover to survivors); a batch interrupted
+//!   mid-service is killed and its requests retried — back at the queue
+//!   front, keeping FIFO by arrival — unless their retry deadline has
+//!   passed, in which case they count as failed. Completed requests that
+//!   survived a kill are reported per tenant as `degraded_completed`.
+//! - **Drift & recovery** (optional, [`run_serving`]): with a
+//!   [`HealthSpec`] configured, each replica accumulates conductance
+//!   drift — per-request result corruption whose probability grows with
+//!   the time since the last recalibration. An online monitor EWMAs each replica's batch error
 //!   fraction and trips a circuit breaker, taking the replica through
 //!   bounded recalibration retries (exponential backoff) and an optional
 //!   remap escalation while load sheds to the healthy replicas. Errored
@@ -48,11 +49,13 @@
 //!
 //! ## Determinism
 //!
-//! The event loop is a recurrence: "the replica with the minimum free
-//! time takes the next dispatchable batch". [`run_serving`] evaluates it
-//! on one thread, so the same (tenants, workload, config) always yields a
-//! bit-identical [`ServingReport`] (asserted by tests). Parallel serving
-//! is the sharded runtime's job ([`run_sharded_threaded`], below).
+//! There is one scheduler ([`shard`]): a recurrence in which "the
+//! replica with the minimum free time takes the next dispatchable batch".
+//! It is evaluated on integer simulated time over pre-generated arrival
+//! and outage streams, so the same (tenants, workload, config) always
+//! yields a bit-identical report (asserted by tests and golden pins).
+//! [`run_serving`] runs it on one thread; parallel serving is the
+//! sharded runtime's job ([`run_sharded_threaded`], below).
 //!
 //! ## Simplifications
 //!
@@ -63,17 +66,19 @@
 //!
 //! ## The sharded runtime
 //!
-//! [`run_sharded`] scales the same simulation model to hundreds of
+//! [`run_sharded`] runs the same scheduler at the scale of hundreds of
 //! tenants and millions of requests: tenants partition across
 //! shard-local schedulers with their own queues, clocks, and replica
-//! pools; scheduling within a shard is deficit round-robin over
-//! per-tenant weights ([`TenantSpec::weight`]) instead of global FIFO;
-//! and all cross-shard coupling — work stealing, telemetry-driven
-//! replica autoscaling, online strategy swap on workload-mix drift —
-//! happens at deterministic epoch barriers. The heap-mode scheduler,
-//! the linear-scan reference ([`run_sharded_reference`]), and the
-//! epoch-parallel driver ([`run_sharded_threaded`]) are bit-identical;
-//! see [`shard`] for the architecture and determinism argument.
+//! pools; the pick rule is deficit round-robin over per-tenant weights
+//! ([`TenantSpec::weight`]); and all cross-shard coupling — work
+//! stealing, telemetry-driven replica autoscaling, online strategy swap
+//! on workload-mix drift — happens at deterministic epoch barriers.
+//! [`run_serving`] is the same scheduler at one shard with the FIFO pick
+//! and the failure and health couplings, its epochs doubling as the
+//! telemetry windows. The heap-mode scheduler, the linear-scan reference
+//! ([`run_sharded_reference`]), and the epoch-parallel driver
+//! ([`run_sharded_threaded`]) are bit-identical; see [`shard`] for the
+//! architecture and determinism argument.
 
 pub mod deploy;
 pub mod drr;

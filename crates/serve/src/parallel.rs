@@ -1,7 +1,7 @@
 //! The parallel serving driver: the sharded runtime's epochs stepped on
-//! `crossbeam` scoped workers. [`run_serving`](crate::run_serving) stays
-//! the single global-FIFO driver; parallelism lives only here, where
-//! shards are independent between barriers.
+//! `crossbeam` scoped workers. [`run_serving`](crate::run_serving) runs
+//! one shard, so parallelism lives only here, where shards are
+//! independent between barriers.
 
 use crate::shard::{ShardConfig, ShardServingReport, ShardedSim};
 use crate::workload::{TenantSpec, Workload};
@@ -21,11 +21,9 @@ pub fn run_sharded_threaded(
     threads: usize,
 ) -> ShardServingReport {
     let _span = autohet_obs::trace::span("serve.run_sharded_threaded");
-    let threads = threads.max(1);
+    let chunk = cfg.shards.div_ceil(threads.max(1));
     let mut sim = ShardedSim::new(tenants, wl, cfg);
-    let ends = sim.epoch_ends();
-    let chunk = sim.shards.len().div_ceil(threads);
-    let step_all = |shards: &mut [crate::shard::Shard], e_end: u64| {
+    sim.run_with(|shards, e_end| {
         crossbeam::thread::scope(|s| {
             for group in shards.chunks_mut(chunk) {
                 s.spawn(move |_| {
@@ -36,11 +34,6 @@ pub fn run_sharded_threaded(
             }
         })
         .expect("shard worker panicked");
-    };
-    for (e, &end) in ends.iter().enumerate() {
-        step_all(&mut sim.shards, end);
-        sim.barrier(e, end);
-    }
-    step_all(&mut sim.shards, u64::MAX);
+    });
     sim.finish()
 }

@@ -61,12 +61,6 @@ impl ReplicaPool {
         self.free.is_empty()
     }
 
-    /// Current free time of replica `r` (meaningful for retired replicas
-    /// too: the instant their last batch drains).
-    pub fn free_of(&self, r: usize) -> u64 {
-        self.free[r]
-    }
-
     /// Whether replica `r` has been retired.
     pub fn is_retired(&self, r: usize) -> bool {
         self.retired[r]

@@ -1,10 +1,10 @@
-//! Serving observability: per-tenant latency/SLO/energy statistics and
-//! the aggregate [`ServingReport`] both execution modes assemble from the
-//! same batch stream.
+//! Serving observability types: the log₂ latency histogram, per-tenant
+//! latency/SLO/energy statistics, per-window telemetry, and the
+//! [`ServingReport`] of the global-FIFO front. The scheduler in
+//! [`shard`](crate::shard) fills them from its streaming accounting;
+//! its sharded-runtime report shares [`WindowStats`] and the histogram.
 
-use crate::failure::FailurePlan;
-use crate::sim::{BatchResult, HealthEvent, ServeConfig, SimCore};
-use crate::workload::{TenantSpec, Workload};
+use crate::sim::HealthEvent;
 use serde::{Deserialize, Serialize};
 
 /// Number of power-of-two latency bins (covers the full `u64` range).
@@ -25,7 +25,7 @@ impl LatencyHistogram {
         }
     }
 
-    /// Record one request latency [ns].
+    /// Record one request latency \[ns\].
     pub fn record(&mut self, latency_ns: u64) {
         let bin = if latency_ns <= 1 {
             0
@@ -66,7 +66,7 @@ impl Default for LatencyHistogram {
 /// Serving statistics for one tenant.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TenantStats {
-    /// Tenant label (from [`TenantSpec`]).
+    /// Tenant label (from [`TenantSpec`](crate::workload::TenantSpec)).
     pub name: String,
     /// Arrivals generated for this tenant (admitted + shed).
     pub submitted: u64,
@@ -92,17 +92,17 @@ pub struct TenantStats {
     pub killed_batches: u64,
     /// Batches dispatched for this tenant (completed ones only).
     pub batches: u64,
-    /// Nearest-rank latency percentiles over completed requests [ns].
+    /// Nearest-rank latency percentiles over completed requests \[ns\].
     pub p50_ns: u64,
-    /// 95th percentile latency [ns].
+    /// 95th percentile latency \[ns\].
     pub p95_ns: u64,
-    /// 99th percentile latency [ns].
+    /// 99th percentile latency \[ns\].
     pub p99_ns: u64,
-    /// Worst completed-request latency [ns].
+    /// Worst completed-request latency \[ns\].
     pub max_ns: u64,
-    /// Mean latency over completed requests [ns].
+    /// Mean latency over completed requests \[ns\].
     pub mean_ns: f64,
-    /// The tenant's latency objective [ns].
+    /// The tenant's latency objective \[ns\].
     pub slo_ns: u64,
     /// Fraction of *submitted* requests completed within the SLO (shed,
     /// failed, and drift-errored requests count as violations); 1.0 for
@@ -110,17 +110,18 @@ pub struct TenantStats {
     pub slo_attainment: f64,
     /// Completed requests per second of virtual time.
     pub throughput_rps: f64,
-    /// Total inference energy charged to this tenant [nJ].
+    /// Total inference energy charged to this tenant \[nJ\].
     pub energy_nj: f64,
     /// Largest waiting-queue depth observed.
     pub peak_queue_depth: u64,
     /// Time-weighted mean waiting-queue depth over the run.
     pub mean_queue_depth: f64,
-    /// DRR fair-share weight from the spec (1 for FIFO runs, which
-    /// ignore it).
+    /// Fair-share weight from the spec (at least 1). The FIFO pick does
+    /// not schedule by it, but the fairness indices divide attained
+    /// service by it.
     #[serde(default)]
     pub weight: u64,
-    /// Busy replica-time this tenant's completed batches consumed [ns]
+    /// Busy replica-time this tenant's completed batches consumed \[ns\]
     /// — the "attained service" the fairness index is computed over.
     #[serde(default)]
     pub attained_service_ns: u64,
@@ -141,9 +142,9 @@ pub struct TenantStats {
 pub struct WindowStats {
     /// Window index (0-based).
     pub index: usize,
-    /// Window start [ns].
+    /// Window start \[ns\].
     pub start_ns: u64,
-    /// Nominal window end [ns] (exclusive; the last window also covers
+    /// Nominal window end \[ns\] (exclusive; the last window also covers
     /// the drain past this instant).
     pub end_ns: u64,
     /// Arrivals generated in the window, all tenants.
@@ -165,7 +166,7 @@ pub struct WindowStats {
     pub mean_queue_depth: f64,
     /// Largest aggregate queued-request count observed in the window.
     pub peak_queue_depth: u64,
-    /// Replica downtime overlapping the window, summed over replicas [ns].
+    /// Replica downtime overlapping the window, summed over replicas \[ns\].
     pub downtime_ns: u64,
     /// Jain's fairness index over per-tenant attained service per unit
     /// weight within the window (tenants idle in the window are
@@ -181,7 +182,7 @@ pub struct WindowStats {
 pub struct ServingReport {
     /// Workload master seed.
     pub seed: u64,
-    /// Arrival-generation horizon [ns].
+    /// Arrival-generation horizon \[ns\].
     pub horizon_ns: u64,
     /// Virtual time at which the last batch completed (≥ horizon).
     pub makespan_ns: u64,
@@ -202,7 +203,7 @@ pub struct ServingReport {
     /// Drift-errored completions across all tenants.
     #[serde(default)]
     pub total_errored: u64,
-    /// Per-replica downtime within `[0, makespan_ns)` [ns].
+    /// Per-replica downtime within `[0, makespan_ns)` \[ns\].
     pub replica_downtime_ns: Vec<u64>,
     /// Per-replica circuit-breaker trips (health monitoring).
     #[serde(default)]
@@ -213,10 +214,10 @@ pub struct ServingReport {
     /// Per-replica remap escalations.
     #[serde(default)]
     pub replica_remaps: Vec<u64>,
-    /// Per-replica time spent paused in drift recovery [ns].
+    /// Per-replica time spent paused in drift recovery \[ns\].
     #[serde(default)]
     pub replica_recovery_ns: Vec<u64>,
-    /// Total inference energy [nJ].
+    /// Total inference energy \[nJ\].
     pub total_energy_nj: f64,
     /// Completed requests per second of virtual time, all tenants.
     pub aggregate_throughput_rps: f64,
@@ -282,243 +283,12 @@ pub fn jain_index<I: IntoIterator<Item = f64>>(xs: I) -> f64 {
 }
 
 /// Nearest-rank percentile of an ascending-sorted sample.
-fn percentile(sorted: &[u64], q: f64) -> u64 {
+pub(crate) fn percentile(sorted: &[u64], q: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
     }
     let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
     sorted[rank - 1]
-}
-
-/// Fold an index-ordered batch stream plus the core's admission counters
-/// into the final report. Both execution modes call this with the same
-/// inputs, so their reports are bit-identical.
-pub(crate) fn assemble_report(
-    tenants: &[TenantSpec],
-    wl: &Workload,
-    cfg: &ServeConfig,
-    core: &SimCore,
-    batches: &[BatchResult],
-    plan: &FailurePlan,
-) -> ServingReport {
-    let _span = autohet_obs::trace::span("serve.assemble_report");
-    let n = tenants.len();
-    let mut latencies: Vec<Vec<u64>> = vec![Vec::new(); n];
-    let mut hist = vec![LatencyHistogram::new(); n];
-    let mut energy = vec![0.0f64; n];
-    let mut tenant_batches = vec![0u64; n];
-    let mut degraded = vec![0u64; n];
-    let mut errored = vec![0u64; n];
-    let mut met = vec![0u64; n];
-    let mut attained = vec![0u64; n];
-    let mut makespan = wl.horizon_ns;
-    let mut total_requests = 0u64;
-    for (i, b) in batches.iter().enumerate() {
-        // Killed batches consume dispatch indices without completing, so
-        // the completed stream is strictly increasing, not gap-free.
-        debug_assert!(
-            i == 0 || batches[i - 1].index < b.index,
-            "batch stream must be index-ordered"
-        );
-        for (ri, r) in b.requests.iter().enumerate() {
-            let l = b.completion_ns - r.arrival_ns;
-            latencies[b.tenant].push(l);
-            hist[b.tenant].record(l);
-            if r.retries > 0 {
-                degraded[b.tenant] += 1;
-            }
-            let err = b.errored.get(ri).copied().unwrap_or(false);
-            if err {
-                errored[b.tenant] += 1;
-            }
-            if l <= tenants[b.tenant].slo_ns && !err {
-                met[b.tenant] += 1;
-            }
-        }
-        energy[b.tenant] += b.energy_nj;
-        tenant_batches[b.tenant] += 1;
-        attained[b.tenant] += b.service_ns;
-        total_requests += b.requests.len() as u64;
-        makespan = makespan.max(b.completion_ns);
-    }
-    let span_s = makespan as f64 * 1e-9;
-    let stats: Vec<TenantStats> = (0..n)
-        .map(|t| {
-            let lat = &mut latencies[t];
-            lat.sort_unstable();
-            let completed = lat.len() as u64;
-            let submitted = core.submitted[t];
-            let sum: u128 = lat.iter().map(|&l| l as u128).sum();
-            TenantStats {
-                name: tenants[t].name.clone(),
-                submitted,
-                completed,
-                rejected: core.rejected[t],
-                failed: core.failed[t],
-                retried: core.retried[t],
-                degraded_completed: degraded[t],
-                errored: errored[t],
-                killed_batches: core.killed_batches[t],
-                batches: tenant_batches[t],
-                p50_ns: percentile(lat, 0.50),
-                p95_ns: percentile(lat, 0.95),
-                p99_ns: percentile(lat, 0.99),
-                max_ns: lat.last().copied().unwrap_or(0),
-                mean_ns: if completed == 0 {
-                    0.0
-                } else {
-                    sum as f64 / completed as f64
-                },
-                slo_ns: tenants[t].slo_ns,
-                slo_attainment: if submitted == 0 {
-                    1.0
-                } else {
-                    met[t] as f64 / submitted as f64
-                },
-                throughput_rps: if span_s > 0.0 {
-                    completed as f64 / span_s
-                } else {
-                    0.0
-                },
-                energy_nj: energy[t],
-                peak_queue_depth: core.peak_depth[t] as u64,
-                mean_queue_depth: core.mean_depth(t, makespan),
-                weight: tenants[t].weight.max(1),
-                attained_service_ns: attained[t],
-                histogram: hist[t].clone(),
-            }
-        })
-        .collect();
-    let total_completed: u64 = stats.iter().map(|s| s.completed).sum();
-    let windows = assemble_windows(tenants, cfg, core, batches, plan, makespan);
-    ServingReport {
-        seed: wl.seed,
-        horizon_ns: wl.horizon_ns,
-        makespan_ns: makespan,
-        replicas: cfg.replicas,
-        batches: batches.len() as u64,
-        mean_batch_size: if batches.is_empty() {
-            0.0
-        } else {
-            total_requests as f64 / batches.len() as f64
-        },
-        total_completed,
-        total_rejected: stats.iter().map(|s| s.rejected).sum(),
-        total_failed: stats.iter().map(|s| s.failed).sum(),
-        total_retried: stats.iter().map(|s| s.retried).sum(),
-        total_errored: stats.iter().map(|s| s.errored).sum(),
-        replica_downtime_ns: (0..cfg.replicas)
-            .map(|r| plan.downtime_ns(r, makespan))
-            .collect(),
-        replica_trips: core.health.iter().map(|h| h.trips).collect(),
-        replica_recals: core.health.iter().map(|h| h.recals).collect(),
-        replica_remaps: core.health.iter().map(|h| h.remaps).collect(),
-        replica_recovery_ns: core.health.iter().map(|h| h.recovery_ns).collect(),
-        total_energy_nj: energy.iter().sum(),
-        aggregate_throughput_rps: if span_s > 0.0 {
-            total_completed as f64 / span_s
-        } else {
-            0.0
-        },
-        fairness_index: jain_index(
-            stats
-                .iter()
-                .filter(|s| s.submitted > 0)
-                .map(|s| s.attained_service_ns as f64 / s.weight as f64),
-        ),
-        tenants: stats,
-        windows,
-        health_events: core.health_events.clone(),
-    }
-}
-
-/// Bucket the batch stream and the core's window accumulators into
-/// [`WindowStats`]. Everything here is a pure function of inputs both
-/// execution modes agree on (the index-sorted batch stream, the core's
-/// recurrence-ordered accumulators, the pre-generated failure plan), so
-/// windows are bit-identical across drivers.
-fn assemble_windows(
-    tenants: &[TenantSpec],
-    cfg: &ServeConfig,
-    core: &SimCore,
-    batches: &[BatchResult],
-    plan: &FailurePlan,
-    makespan: u64,
-) -> Vec<WindowStats> {
-    let n_win = core.win_submitted.len();
-    if n_win == 0 {
-        return Vec::new();
-    }
-    let win_len = core.window_len_ns();
-    let mut completed = vec![0u64; n_win];
-    let mut win_batches = vec![0u64; n_win];
-    let mut met = vec![0u64; n_win];
-    let mut hist = vec![LatencyHistogram::new(); n_win];
-    let mut attained = vec![vec![0u64; tenants.len()]; n_win];
-    for b in batches {
-        let w = core.window_of(b.completion_ns);
-        win_batches[w] += 1;
-        attained[w][b.tenant] += b.service_ns;
-        for (ri, r) in b.requests.iter().enumerate() {
-            let l = b.completion_ns - r.arrival_ns;
-            completed[w] += 1;
-            if l <= tenants[b.tenant].slo_ns && !b.errored.get(ri).copied().unwrap_or(false) {
-                met[w] += 1;
-            }
-            hist[w].record(l);
-        }
-    }
-    (0..n_win)
-        .map(|w| {
-            let start_ns = w as u64 * win_len;
-            let end_ns = start_ns + win_len;
-            // The last window runs to the makespan: its depth integral
-            // and downtime include the drain tail.
-            let covered_to = if w + 1 == n_win {
-                makespan.max(end_ns)
-            } else {
-                end_ns
-            };
-            let span = (covered_to - start_ns).max(1);
-            WindowStats {
-                index: w,
-                start_ns,
-                end_ns,
-                submitted: core.win_submitted[w],
-                rejected: core.win_rejected[w],
-                completed: completed[w],
-                batches: win_batches[w],
-                mean_batch_size: if win_batches[w] == 0 {
-                    0.0
-                } else {
-                    completed[w] as f64 / win_batches[w] as f64
-                },
-                batch_occupancy: if win_batches[w] == 0 {
-                    0.0
-                } else {
-                    completed[w] as f64 / (win_batches[w] * cfg.max_batch as u64) as f64
-                },
-                slo_attainment: if completed[w] == 0 {
-                    1.0
-                } else {
-                    met[w] as f64 / completed[w] as f64
-                },
-                mean_queue_depth: core.win_depth_area[w] as f64 / span as f64,
-                peak_queue_depth: core.win_peak_depth[w] as u64,
-                downtime_ns: (0..cfg.replicas)
-                    .map(|r| plan.downtime_in(r, start_ns, covered_to))
-                    .sum(),
-                fairness_index: jain_index(
-                    attained[w]
-                        .iter()
-                        .zip(tenants)
-                        .filter(|(&a, _)| a > 0)
-                        .map(|(&a, spec)| a as f64 / spec.weight.max(1) as f64),
-                ),
-                histogram: hist[w].clone(),
-            }
-        })
-        .collect()
 }
 
 #[cfg(test)]

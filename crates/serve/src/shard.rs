@@ -1,21 +1,34 @@
-//! Sharded serving runtime: shard-local schedulers, work stealing,
-//! deficit-round-robin tenant fairness, telemetry-driven autoscaling,
-//! and online strategy swap — all deterministic in simulated time.
+//! The serving scheduler: shard-local schedulers with two pick rules,
+//! work stealing, telemetry-driven autoscaling, online strategy swap,
+//! and replica failure and drift-health couplings — all deterministic in
+//! simulated time.
 //!
 //! # Architecture
 //!
 //! Tenants are partitioned across `shards` shard-local schedulers
 //! (`gid % shards`). Each shard owns its tenants' arrival streams,
-//! queues, a [`DrrRing`] of backlogged tenants, and a [`ReplicaPool`] of
-//! local replicas; it advances its own clock with the same
-//! ingest-before-dispatch recurrence the original event loop used, but
-//! tenant selection is deficit round-robin (weighted fair queueing)
-//! instead of global oldest-head-first FIFO.
+//! queues, and a [`ReplicaPool`] of local replicas; it advances its own
+//! clock by one ingest-before-dispatch recurrence: the earliest-free
+//! replica takes the next dispatchable batch, and arrivals at or before
+//! that instant join their queues first. Which tenant's batch it takes
+//! is the pick rule:
+//!
+//! - **DRR** ([`run_sharded`]): deficit round-robin over a [`DrrRing`]
+//!   of backlogged tenants, so attained service follows the tenant
+//!   weights;
+//! - **FIFO** ([`run_serving`](crate::run_serving)): among the tenants
+//!   dispatchable at that instant, the oldest head request wins (ties:
+//!   lowest tenant id). The FIFO front runs one shard and adds the
+//!   replica couplings of [`ServeConfig`](crate::ServeConfig): the
+//!   [`FailurePlan`] is consulted before every dispatch and kills
+//!   batches an outage interrupts, and every completed batch passes the
+//!   drift health monitor.
 //!
 //! The simulated horizon is cut into `epochs` equal windows. *Within* an
 //! epoch shards are fully independent — that is what makes the
 //! epoch-parallel driver embarrassingly parallel — and every coupling
-//! mechanism runs at the deterministic epoch barrier, in a fixed order:
+//! mechanism between shards runs at the deterministic epoch barrier, in
+//! a fixed order:
 //!
 //! 1. **settle** — every shard's queue-depth integral is settled to the
 //!    barrier instant;
@@ -49,18 +62,23 @@
 //! ([`SelectMode::LinearScan`]) makes every choice by an O(tenants)
 //! or O(replicas) scan; heap mode makes the same choices through
 //! lazy-deletion heaps ([`ReplicaPool`], [`StampedHeap`]) with the
-//! scan's tie-breaks, so all three drivers produce identical reports.
+//! scan's tie-breaks, so every driver produces identical reports under
+//! either pick rule.
 //!
 //! [`alt_deployment`]: crate::workload::TenantSpec::alt_deployment
 
 use crate::drr::{DrrAccess, DrrRing};
+use crate::failure::FailurePlan;
 use crate::ready::{ReplicaPool, StampedHeap};
-use crate::report::{jain_index, LatencyHistogram, WindowStats};
+use crate::report::{
+    jain_index, percentile, LatencyHistogram, ServingReport, TenantStats, WindowStats,
+};
+use crate::sim::{HealthEvent, HealthSpec, ReplicaHealth};
 use crate::workload::{tenant_arrivals, TenantSpec, Workload};
 use autohet_obs::alert::{AlertEngine, AlertRule, ThresholdRule};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Alert-rule name the autoscaler fires to add replicas.
 pub const SCALE_UP_RULE: &str = "serve.scale_up";
@@ -69,9 +87,9 @@ pub const SCALE_DOWN_RULE: &str = "serve.scale_down";
 /// Alert-rule name for the SLO-floor scale-up trigger.
 pub const SCALE_SLO_RULE: &str = "serve.scale_slo";
 
-/// How the scheduler finds minima: the faithful linear scans of the
-/// original event loop, or the heap-backed structures that replace them.
-/// Both modes make identical decisions; they differ only in cost.
+/// How the scheduler finds minima: plain linear scans (the reference),
+/// or lazy-deletion heaps with the scans' tie-breaks. Both modes make
+/// identical decisions under either pick rule; they differ only in cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SelectMode {
     /// O(tenants)/O(replicas) scans per event — the reference.
@@ -221,7 +239,7 @@ impl ShardConfig {
 /// One autoscaling action on the timeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ScaleEvent {
-    /// Barrier instant [ns].
+    /// Barrier instant \[ns\].
     pub t_ns: u64,
     /// Epoch index of the barrier.
     pub epoch: usize,
@@ -238,7 +256,7 @@ pub struct ScaleEvent {
 /// One whole-tenant migration between shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StealEvent {
-    /// Barrier instant [ns].
+    /// Barrier instant \[ns\].
     pub t_ns: u64,
     /// Epoch index of the barrier.
     pub epoch: usize,
@@ -253,7 +271,7 @@ pub struct StealEvent {
 /// One online strategy swap.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SwapEvent {
-    /// Barrier instant [ns].
+    /// Barrier instant \[ns\].
     pub t_ns: u64,
     /// Epoch index of the barrier.
     pub epoch: usize,
@@ -273,7 +291,7 @@ pub struct SwapEvent {
 /// the post-hoc alert timeline replays *exactly* what the runtime saw.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EpochSignal {
-    /// Barrier instant [ns].
+    /// Barrier instant \[ns\].
     pub t_ns: u64,
     /// Mean queue depth over the epoch (area / span).
     pub mean_queue_depth: f64,
@@ -295,7 +313,7 @@ pub struct ShardTenantStats {
     pub completed: u64,
     pub rejected: u64,
     pub batches: u64,
-    /// Latency quantiles from the tenant's log₂ histogram [ns].
+    /// Latency quantiles from the tenant's log₂ histogram \[ns\].
     pub p50_ns: u64,
     pub p95_ns: u64,
     pub p99_ns: u64,
@@ -305,7 +323,7 @@ pub struct ShardTenantStats {
     pub slo_attainment: f64,
     pub throughput_rps: f64,
     pub energy_nj: f64,
-    /// Busy replica-time this tenant's batches consumed [ns] — the
+    /// Busy replica-time this tenant's batches consumed \[ns\] — the
     /// "attained service" the fairness index is computed over.
     pub attained_service_ns: u64,
     pub peak_queue_depth: u64,
@@ -327,7 +345,7 @@ pub struct ShardStats {
     pub dispatched_batches: u64,
     pub steals_in: u64,
     pub steals_out: u64,
-    /// Last completion on this shard [ns].
+    /// Last completion on this shard \[ns\].
     pub makespan_ns: u64,
 }
 
@@ -407,6 +425,16 @@ impl WinGrid {
     }
 }
 
+/// One queued (or in-flight) request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Req {
+    /// Original arrival timestamp \[ns\] — latency and retry deadlines are
+    /// always measured from here, across any number of retries.
+    arrival_ns: u64,
+    /// Times this request was returned to its queue by a killed batch.
+    retries: u32,
+}
+
 /// Everything that travels with a tenant when it migrates between
 /// shards: queue, arrival stream position, DRR deficit, and all
 /// accounting. `stamp` versions the tenant's ready-heap entries.
@@ -417,8 +445,8 @@ struct TenantState {
     slo_ns: u64,
     arrivals: Vec<u64>,
     cursor: usize,
-    /// Arrival times of queued (admitted, undispatched) requests.
-    queue: VecDeque<u64>,
+    /// Queued (admitted, undispatched) requests in arrival order.
+    queue: VecDeque<Req>,
     deficit: u64,
     stamp: u64,
     swapped: bool,
@@ -427,11 +455,23 @@ struct TenantState {
     completed: u64,
     met: u64,
     batches: u64,
+    /// Requests dropped past their retry deadline by a killed batch.
+    failed: u64,
+    /// Requests returned to the queue by killed batches.
+    retried: u64,
+    /// Completed requests that had been retried at least once.
+    degraded: u64,
+    /// Completed requests with a drift-corrupted result.
+    errored: u64,
+    killed_batches: u64,
     attained_ns: u64,
     energy_nj: f64,
     lat_sum: u128,
     max_lat: u64,
     hist: LatencyHistogram,
+    /// Every completed request's latency — kept under the FIFO pick only,
+    /// whose report states exact nearest-rank percentiles.
+    latencies: Vec<u64>,
     peak_depth: usize,
     depth_area: u128,
     last_event: u64,
@@ -458,11 +498,17 @@ impl TenantState {
             completed: 0,
             met: 0,
             batches: 0,
+            failed: 0,
+            retried: 0,
+            degraded: 0,
+            errored: 0,
+            killed_batches: 0,
             attained_ns: 0,
             energy_nj: 0.0,
             lat_sum: 0,
             max_lat: 0,
             hist: LatencyHistogram::new(),
+            latencies: Vec::new(),
             peak_depth: 0,
             depth_area: 0,
             last_event: 0,
@@ -470,49 +516,136 @@ impl TenantState {
             win_attained: vec![0; n_win],
         }
     }
+
+    fn mean_ns(&self) -> f64 {
+        if self.completed == 0 {
+            0.0
+        } else {
+            self.lat_sum as f64 / self.completed as f64
+        }
+    }
+
+    /// Time-weighted mean queue depth over `[0, makespan)`.
+    fn mean_depth(&self, makespan: u64) -> f64 {
+        self.depth_area as f64 / makespan.max(1) as f64
+    }
+
+    /// Fraction of submitted requests completed clean within the SLO;
+    /// 1.0 for an idle tenant.
+    fn slo_attainment(&self) -> f64 {
+        if self.submitted == 0 {
+            1.0
+        } else {
+            self.met as f64 / self.submitted as f64
+        }
+    }
 }
 
 /// Earliest instant the tenant's head batch may dispatch: head arrival
-/// plus the batching window, or as soon as a full batch is queued —
-/// exactly the original `SimCore::candidate` readiness rule.
-fn tenant_ready(queue: &VecDeque<u64>, window_ns: u64, max_batch: usize) -> Option<u64> {
-    let head = *queue.front()?;
+/// plus the batching window, or as soon as a full batch is queued.
+fn tenant_ready(queue: &VecDeque<Req>, window_ns: u64, max_batch: usize) -> Option<u64> {
+    let head = queue.front()?.arrival_ns;
     let mut ready = head.saturating_add(window_ns);
     if queue.len() >= max_batch {
-        ready = ready.min(queue[max_batch - 1]);
+        ready = ready.min(queue[max_batch - 1].arrival_ns);
     }
     Some(ready)
+}
+
+/// The tenants a shard owns, slotted by gid: O(1) lookup, iteration in
+/// ascending gid order, and a migration moves one box.
+#[derive(Debug, Clone)]
+struct TenantSlots {
+    slots: Vec<Option<Box<TenantState>>>,
+    owned: usize,
+}
+
+impl TenantSlots {
+    fn new(n: usize) -> Self {
+        TenantSlots {
+            slots: (0..n).map(|_| None).collect(),
+            owned: 0,
+        }
+    }
+
+    fn get(&self, gid: usize) -> Option<&TenantState> {
+        self.slots[gid].as_deref()
+    }
+
+    fn get_mut(&mut self, gid: usize) -> &mut TenantState {
+        self.slots[gid]
+            .as_deref_mut()
+            .expect("tenant not on this shard")
+    }
+
+    fn insert(&mut self, t: Box<TenantState>) {
+        let gid = t.gid;
+        debug_assert!(self.slots[gid].is_none());
+        self.slots[gid] = Some(t);
+        self.owned += 1;
+    }
+
+    fn remove(&mut self, gid: usize) -> Box<TenantState> {
+        self.owned -= 1;
+        self.slots[gid].take().expect("tenant not on this shard")
+    }
+
+    fn len(&self) -> usize {
+        self.owned
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &TenantState> {
+        self.slots.iter().filter_map(|t| t.as_deref())
+    }
+}
+
+impl std::ops::Index<usize> for TenantSlots {
+    type Output = TenantState;
+
+    fn index(&self, gid: usize) -> &TenantState {
+        self.get(gid).expect("tenant not on this shard")
+    }
 }
 
 /// [`DrrAccess`] view over a shard's tenant map (split borrow: the ring
 /// and the map are disjoint fields).
 struct TenantView<'a> {
-    tenants: &'a mut BTreeMap<usize, TenantState>,
+    tenants: &'a mut TenantSlots,
     window_ns: u64,
     max_batch: usize,
 }
 
 impl DrrAccess for TenantView<'_> {
     fn ready_ns(&self, gid: usize) -> u64 {
-        let t = &self.tenants[&gid];
+        let t = &self.tenants[gid];
         tenant_ready(&t.queue, self.window_ns, self.max_batch).unwrap_or(u64::MAX)
     }
 
     fn cost(&self, gid: usize) -> u64 {
-        self.tenants[&gid].queue.len().min(self.max_batch).max(1) as u64
+        self.tenants[gid].queue.len().min(self.max_batch).max(1) as u64
     }
 
     fn weight(&self, gid: usize) -> u64 {
-        self.tenants[&gid].weight
+        self.tenants[gid].weight
     }
 
     fn deficit(&self, gid: usize) -> u64 {
-        self.tenants[&gid].deficit
+        self.tenants[gid].deficit
     }
 
     fn set_deficit(&mut self, gid: usize, v: u64) {
-        self.tenants.get_mut(&gid).unwrap().deficit = v;
+        self.tenants.get_mut(gid).deficit = v;
     }
+}
+
+/// Which backlogged tenant a dispatch serves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Pick {
+    /// Deficit round-robin over the ring of backlogged tenants.
+    Drr,
+    /// Oldest head request among the tenants ready at the dispatch
+    /// instant, ties to the lowest gid.
+    Fifo,
 }
 
 /// One shard-local scheduler. Between barriers it touches nothing
@@ -521,21 +654,36 @@ impl DrrAccess for TenantView<'_> {
 pub(crate) struct Shard {
     id: usize,
     mode: SelectMode,
+    pick: Pick,
     grid: WinGrid,
     max_batch: usize,
     window_ns: u64,
     queue_depth: usize,
     quantum: u64,
-    tenants: BTreeMap<usize, TenantState>,
+    tenants: TenantSlots,
     ring: DrrRing,
     /// Heap mode: min-heap over (ready_ns, gid), stamp-validated.
     ready: StampedHeap,
+    /// Heap mode, FIFO pick: backlogged tenants by (head arrival, gid),
+    /// and the subset holding a full batch; stamp-validated.
+    heads: StampedHeap,
+    full_heads: StampedHeap,
     /// Heap mode: min-heap over (next arrival, gid), cursor-validated.
     arr_heap: BinaryHeap<Reverse<(u64, usize)>>,
     replicas: ReplicaPool,
+    /// Replica outage schedule (FIFO front only).
+    plan: Option<FailurePlan>,
+    /// Age limit for retrying the requests of a killed batch \[ns\].
+    retry_deadline_ns: u64,
+    /// Drift health monitoring (FIFO front only).
+    health_spec: Option<HealthSpec>,
+    health: Vec<ReplicaHealth>,
+    health_events: Vec<HealthEvent>,
     total_queued: usize,
     last_depth_event: u64,
     makespan: u64,
+    /// Batches dispatched, killed ones included — the next dispatch's
+    /// index.
     dispatched: u64,
     steals_in: u64,
     steals_out: u64,
@@ -550,20 +698,28 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
-    fn new(id: usize, cfg: &ShardConfig, grid: WinGrid) -> Self {
+    fn new(id: usize, cfg: &ShardConfig, grid: WinGrid, n_tenants: usize) -> Self {
         Shard {
             id,
             mode: cfg.mode,
+            pick: Pick::Drr,
             grid,
             max_batch: cfg.max_batch,
             window_ns: cfg.batch_window_ns,
             queue_depth: cfg.queue_depth,
             quantum: cfg.quantum,
-            tenants: BTreeMap::new(),
+            tenants: TenantSlots::new(n_tenants),
             ring: DrrRing::new(),
             ready: StampedHeap::new(),
+            heads: StampedHeap::new(),
+            full_heads: StampedHeap::new(),
             arr_heap: BinaryHeap::new(),
             replicas: ReplicaPool::new(cfg.replicas_per_shard),
+            plan: None,
+            retry_deadline_ns: 0,
+            health_spec: None,
+            health: vec![ReplicaHealth::default(); cfg.replicas_per_shard],
+            health_events: Vec::new(),
             total_queued: 0,
             last_depth_event: 0,
             makespan: 0,
@@ -591,12 +747,12 @@ impl Shard {
             SelectMode::LinearScan => self
                 .tenants
                 .iter()
-                .filter(|(_, t)| t.cursor < t.arrivals.len())
-                .map(|(&g, t)| (t.arrivals[t.cursor], g))
+                .filter(|t| t.cursor < t.arrivals.len())
+                .map(|t| (t.arrivals[t.cursor], t.gid))
                 .min(),
             SelectMode::Heap => loop {
                 let &Reverse((t, g)) = self.arr_heap.peek()?;
-                match self.tenants.get(&g) {
+                match self.tenants.get(g) {
                     Some(ts) if ts.cursor < ts.arrivals.len() && ts.arrivals[ts.cursor] == t => {
                         return Some((t, g));
                     }
@@ -610,29 +766,20 @@ impl Shard {
 
     /// The earliest instant any backlogged tenant's batch may dispatch.
     fn ready_min(&mut self) -> Option<u64> {
-        if self.ring.is_empty() {
+        if self.total_queued == 0 {
             return None;
         }
+        let (window_ns, max_batch) = (self.window_ns, self.max_batch);
         match self.mode {
-            SelectMode::LinearScan => {
-                let (window_ns, max_batch) = (self.window_ns, self.max_batch);
-                self.ring
-                    .iter()
-                    .map(|g| {
-                        let t = &self.tenants[&g];
-                        (
-                            tenant_ready(&t.queue, window_ns, max_batch)
-                                .expect("ring tenant with empty queue"),
-                            g,
-                        )
-                    })
-                    .min()
-                    .map(|(r, _)| r)
-            }
+            SelectMode::LinearScan => self
+                .tenants
+                .iter()
+                .filter_map(|t| tenant_ready(&t.queue, window_ns, max_batch))
+                .min(),
             SelectMode::Heap => {
                 let tenants = &self.tenants;
                 self.ready
-                    .peek_valid(|g| tenants.get(&g).map(|t| t.stamp).unwrap_or(u64::MAX))
+                    .peek_valid(|g| tenants.get(g).map(|t| t.stamp).unwrap_or(u64::MAX))
                     .map(|(r, _)| r)
             }
         }
@@ -642,41 +789,142 @@ impl Shard {
     /// free replica and the earliest ready batch (the per-tenant
     /// `max(ready, free)` minimized over tenants distributes to this).
     fn next_dispatch(&mut self) -> Option<(u64, usize)> {
-        let (fmin, rid) = match self.mode {
-            SelectMode::LinearScan => self.replicas.scan_min(),
-            SelectMode::Heap => self.replicas.peek_min(),
-        }?;
+        let (fmin, rid) = self.min_free()?;
         let ready = self.ready_min()?;
         Some((ready.max(fmin), rid))
     }
 
-    /// Add a queue-depth span `[last_depth_event, now)` at the current
-    /// backlog to the window integral. Within an epoch, spans never
-    /// cross a window boundary (windows *are* epochs and barriers
-    /// settle); drain-tail spans all land in the last window.
-    fn settle_depth(&mut self, now: u64) {
-        let from = self.last_depth_event;
-        if now <= from {
+    /// The tenant a dispatch at `at` serves under the shard's pick rule.
+    fn pick_tenant(&mut self, at: u64) -> usize {
+        let (window_ns, max_batch) = (self.window_ns, self.max_batch);
+        match (self.pick, self.mode) {
+            (Pick::Drr, _) => {
+                let mut view = TenantView {
+                    tenants: &mut self.tenants,
+                    window_ns,
+                    max_batch,
+                };
+                self.ring.select(&mut view, at, self.quantum)
+            }
+            (Pick::Fifo, SelectMode::LinearScan) => {
+                self.tenants
+                    .iter()
+                    .filter(|t| {
+                        tenant_ready(&t.queue, window_ns, max_batch).is_some_and(|r| r <= at)
+                    })
+                    .map(|t| (t.queue[0].arrival_ns, t.gid))
+                    .min()
+                    .expect("FIFO pick at a non-dispatchable instant")
+                    .1
+            }
+            (Pick::Fifo, SelectMode::Heap) => {
+                let tenants = &self.tenants;
+                let stamp = |g| tenants.get(g).map(|t| t.stamp).unwrap_or(u64::MAX);
+                let (_, g) = self
+                    .heads
+                    .peek_valid(stamp)
+                    .expect("FIFO pick with no backlog");
+                let ready = |g| tenant_ready(&tenants[g].queue, window_ns, max_batch);
+                if ready(g).expect("a valid entry has a head") <= at {
+                    return g;
+                }
+                // The oldest head is not ready, so it waits on its window:
+                // every tenant without a full batch has a later head and
+                // waits longer. Each full batch is ready (every queued
+                // arrival precedes the pending dispatch), so the pick is
+                // the oldest full one.
+                let (_, g) = self
+                    .full_heads
+                    .peek_valid(stamp)
+                    .expect("FIFO pick at a non-dispatchable instant");
+                debug_assert!(ready(g).is_some_and(|r| r <= at));
+                g
+            }
+        }
+    }
+
+    /// Re-key tenant `gid` after its queue changed: its heap entries go
+    /// stale, and a backlogged tenant gets fresh ones.
+    fn rekey(&mut self, gid: usize) {
+        let (window_ns, max_batch, heap) = (self.window_ns, self.max_batch, self.heap_mode());
+        let t = self.tenants.get_mut(gid);
+        t.stamp += 1;
+        if !heap || t.queue.is_empty() {
             return;
         }
-        if self.total_queued > 0 {
-            let w = self.grid.window_of(from);
-            self.win_depth_area[w] += self.total_queued as u128 * (now - from) as u128;
+        let stamp = t.stamp;
+        self.ready.push(
+            tenant_ready(&t.queue, window_ns, max_batch).expect("backlogged"),
+            gid,
+            stamp,
+        );
+        if self.pick == Pick::Fifo {
+            let head = t.queue[0].arrival_ns;
+            self.heads.push(head, gid, stamp);
+            if t.queue.len() >= max_batch {
+                self.full_heads.push(head, gid, stamp);
+            }
         }
+    }
+
+    /// Add the span `[from, to)` at queue depth `depth` to the window
+    /// depth integrals, split at window boundaries.
+    fn add_depth_span(&mut self, depth: u128, from: u64, to: u64) {
+        let mut t = from;
+        while depth > 0 && t < to {
+            let w = self.grid.window_of(t);
+            let end = if w + 1 == self.grid.n {
+                to
+            } else {
+                self.grid.start_of(w + 1).min(to)
+            };
+            self.win_depth_area[w] += depth * (end - t) as u128;
+            t = end;
+        }
+    }
+
+    /// Settle the shard-wide depth integral `[last_depth_event, now)` at
+    /// the current backlog — the DRR pick's window integral. Within an
+    /// epoch, spans never cross a window boundary (windows *are* epochs
+    /// and barriers settle); drain-tail spans all land in the last
+    /// window. The FIFO pick integrates per tenant instead (see
+    /// [`track_depth`](Self::track_depth)).
+    fn settle_depth(&mut self, now: u64) {
+        let from = self.last_depth_event;
+        if self.pick == Pick::Fifo || now <= from {
+            return;
+        }
+        self.add_depth_span(self.total_queued as u128, from, now);
         self.last_depth_event = now;
+    }
+
+    /// Advance tenant `gid`'s queue-depth integral to `now` at its
+    /// current depth (before its queue changes), and the window integral
+    /// with it. Under the FIFO pick the window integral is the sum of
+    /// these per-tenant spans: a killed batch is requeued at its failure
+    /// edge, ahead of the shard clock, so per-tenant event times are not
+    /// shard-wide monotone there.
+    fn track_depth(&mut self, gid: usize, now: u64) {
+        let t = self.tenants.get_mut(gid);
+        let (from, depth) = (t.last_event, t.queue.len() as u128);
+        t.depth_area += depth * now.saturating_sub(from) as u128;
+        t.last_event = now;
+        match self.pick {
+            Pick::Fifo => self.add_depth_span(depth, from, now),
+            Pick::Drr => self.settle_depth(now),
+        }
     }
 
     /// Consume tenant `gid`'s next arrival: admission control, queue
     /// push, ring/heap maintenance, depth accounting.
     fn ingest(&mut self, gid: usize) {
         let heap = self.heap_mode();
-        let (window_ns, max_batch) = (self.window_ns, self.max_batch);
         if heap {
             // The validated top entry is this arrival; replace it with
             // the tenant's next one.
             self.arr_heap.pop();
         }
-        let t = self.tenants.get_mut(&gid).unwrap();
+        let t = self.tenants.get_mut(gid);
         let at = t.arrivals[t.cursor];
         t.cursor += 1;
         let next = (t.cursor < t.arrivals.len()).then(|| t.arrivals[t.cursor]);
@@ -688,32 +936,22 @@ impl Shard {
             t.rejected += 1;
             self.win_rejected[w] += 1;
         } else {
-            // Tenant + shard depth integrals advance to the arrival.
-            let dt = at.saturating_sub(t.last_event);
-            t.depth_area += t.queue.len() as u128 * dt as u128;
-            t.last_event = at;
-            let was_empty = t.queue.is_empty();
-            t.queue.push_back(at);
+            self.track_depth(gid, at);
+            let t = self.tenants.get_mut(gid);
+            t.queue.push_back(Req {
+                arrival_ns: at,
+                retries: 0,
+            });
             t.peak_depth = t.peak_depth.max(t.queue.len());
-            let became_full = t.queue.len() == max_batch;
-            if was_empty || became_full {
-                // The tenant's ready instant changed (appeared, or
-                // dropped to "batch full"): version the heap entry.
-                t.stamp += 1;
-                let entry = heap.then(|| {
-                    (
-                        tenant_ready(&t.queue, window_ns, max_batch).unwrap(),
-                        t.stamp,
-                    )
-                });
-                if was_empty {
-                    self.ring.push(gid);
-                }
-                if let Some((rdy, stamp)) = entry {
-                    self.ready.push(rdy, gid, stamp);
-                }
+            let was_empty = t.queue.len() == 1;
+            if was_empty && self.pick == Pick::Drr {
+                self.ring.push(gid);
             }
-            self.settle_depth(at);
+            if was_empty || t.queue.len() == self.max_batch {
+                // The tenant's ready instant changed (appeared, or
+                // dropped to "batch full").
+                self.rekey(gid);
+            }
             self.total_queued += 1;
             self.win_peak[w] = self.win_peak[w].max(self.total_queued);
         }
@@ -724,62 +962,31 @@ impl Shard {
         }
     }
 
-    /// Dispatch one batch on replica `rid` at instant `at`: DRR selects
-    /// the tenant, the batch drains, and completion-side accounting
-    /// streams into the tenant and window accumulators.
+    /// Dispatch one batch on replica `rid` at instant `at`: the pick
+    /// rule selects the tenant and the batch drains. A batch an outage
+    /// cuts short is killed and requeued; a completed one passes the
+    /// health monitor and its accounting streams into the tenant and
+    /// window accumulators.
     fn dispatch(&mut self, specs: &[TenantSpec], rid: usize, at: u64) {
-        let (window_ns, max_batch, quantum) = (self.window_ns, self.max_batch, self.quantum);
-        let gid = {
-            let mut view = TenantView {
-                tenants: &mut self.tenants,
-                window_ns,
-                max_batch,
-            };
-            self.ring.select(&mut view, at, quantum)
-        };
-        self.settle_depth(at);
-        let (batch, emptied, swapped) = {
-            let t = self.tenants.get_mut(&gid).unwrap();
-            let dt = at.saturating_sub(t.last_event);
-            t.depth_area += t.queue.len() as u128 * dt as u128;
-            t.last_event = at;
-            let n = t.queue.len().min(max_batch);
-            let batch: Vec<u64> = t.queue.drain(..n).collect();
-            (batch, t.queue.is_empty(), t.swapped)
-        };
-        self.total_queued -= batch.len();
-        let spec = &specs[gid];
-        let dep = if swapped {
-            spec.alt_deployment.as_ref().expect("swapped without alt")
+        let (window_ns, max_batch) = (self.window_ns, self.max_batch);
+        let gid = self.pick_tenant(at);
+        let index = self.dispatched;
+        self.dispatched += 1;
+        self.track_depth(gid, at);
+        let t = self.tenants.get_mut(gid);
+        let n = t.queue.len().min(max_batch);
+        let batch: Vec<Req> = t.queue.drain(..n).collect();
+        let emptied = t.queue.is_empty();
+        let dep = if t.swapped {
+            specs[gid]
+                .alt_deployment
+                .as_ref()
+                .expect("swapped without alt")
         } else {
-            &spec.deployment
+            &specs[gid].deployment
         };
-        let n = batch.len();
-        let service = dep.service_ns(n);
-        let completion = at + service;
-        let w = self.grid.window_of(completion);
-        {
-            let t = self.tenants.get_mut(&gid).unwrap();
-            t.completed += n as u64;
-            t.batches += 1;
-            t.attained_ns += service;
-            t.win_attained[w] += service;
-            t.energy_nj += n as f64 * dep.energy_per_request_nj();
-            for &arr in &batch {
-                let l = completion - arr;
-                t.hist.record(l);
-                t.lat_sum += l as u128;
-                t.max_lat = t.max_lat.max(l);
-                if l <= t.slo_ns {
-                    t.met += 1;
-                    self.win_met[w] += 1;
-                }
-                self.win_hist[w].record(l);
-            }
-        }
-        self.win_completed[w] += n as u64;
-        self.win_batches[w] += 1;
-        {
+        self.total_queued -= n;
+        if self.pick == Pick::Drr {
             let mut view = TenantView {
                 tenants: &mut self.tenants,
                 window_ns,
@@ -787,24 +994,109 @@ impl Shard {
             };
             self.ring.served(&mut view, gid, emptied);
         }
-        let t = self.tenants.get_mut(&gid).unwrap();
-        t.stamp += 1;
-        if !emptied && self.mode == SelectMode::Heap {
-            let rdy = tenant_ready(&t.queue, window_ns, max_batch).unwrap();
-            let stamp = t.stamp;
-            self.ready.push(rdy, gid, stamp);
+        let service = dep.service_ns(n);
+        let completion = at + service;
+        if let Some(o) = self
+            .plan
+            .as_ref()
+            .and_then(|p| p.outage_in(rid, at, completion))
+        {
+            self.replicas.set_free(rid, o.up_ns);
+            self.requeue(gid, batch, o.down_ns);
+            return;
         }
-        self.replicas.set_free(rid, completion);
+        self.rekey(gid);
+        let (errored, free) = match &self.health_spec {
+            Some(spec) => self.health[rid].complete_batch(
+                spec,
+                rid,
+                index,
+                at,
+                n,
+                completion,
+                &mut self.health_events,
+            ),
+            None => (Vec::new(), completion),
+        };
+        let w = self.grid.window_of(completion);
+        let exact = self.pick == Pick::Fifo;
+        let t = self.tenants.get_mut(gid);
+        t.completed += n as u64;
+        t.batches += 1;
+        t.attained_ns += service;
+        t.win_attained[w] += service;
+        t.energy_nj += n as f64 * dep.energy_per_request_nj();
+        for (i, req) in batch.iter().enumerate() {
+            let l = completion - req.arrival_ns;
+            let err = errored.get(i).copied().unwrap_or(false);
+            t.hist.record(l);
+            t.lat_sum += l as u128;
+            t.max_lat = t.max_lat.max(l);
+            if exact {
+                t.latencies.push(l);
+            }
+            t.degraded += (req.retries > 0) as u64;
+            t.errored += err as u64;
+            if l <= t.slo_ns && !err {
+                t.met += 1;
+                self.win_met[w] += 1;
+            }
+            self.win_hist[w].record(l);
+        }
+        self.win_completed[w] += n as u64;
+        self.win_batches[w] += 1;
+        self.replicas.set_free(rid, free);
         self.makespan = self.makespan.max(completion);
-        self.dispatched += 1;
+    }
+
+    /// Return a killed batch's requests to the head of their queue (they
+    /// are the oldest outstanding requests, so FIFO order by arrival is
+    /// preserved): a request is retried while its age at `killed_ns` is
+    /// within the retry deadline, and dropped as failed otherwise.
+    /// Retried requests keep their original arrival time, so their
+    /// eventual latency spans the failure.
+    fn requeue(&mut self, gid: usize, batch: Vec<Req>, killed_ns: u64) {
+        self.track_depth(gid, killed_ns);
+        let deadline = self.retry_deadline_ns;
+        let t = self.tenants.get_mut(gid);
+        t.killed_batches += 1;
+        let before = t.queue.len();
+        for req in batch.into_iter().rev() {
+            if killed_ns.saturating_sub(req.arrival_ns) <= deadline {
+                t.retried += 1;
+                t.queue.push_front(Req {
+                    retries: req.retries + 1,
+                    ..req
+                });
+            } else {
+                t.failed += 1;
+            }
+        }
+        t.peak_depth = t.peak_depth.max(t.queue.len());
+        self.total_queued += t.queue.len() - before;
+        let w = self.grid.window_of(killed_ns);
+        self.win_peak[w] = self.win_peak[w].max(self.total_queued);
+        self.rekey(gid);
     }
 
     /// Run the shard's recurrence up to (exclusive) `e_end`: arrivals at
-    /// or before the pending dispatch instant are ingested first —
-    /// identical to the original loop's "arrivals at the dispatch
-    /// instant join the batch" rule. `u64::MAX` drains everything.
+    /// or before the pending dispatch instant are ingested first (they
+    /// join the batch). `u64::MAX` drains everything. With an outage
+    /// plan, a replica down at its free instant or at the dispatch
+    /// instant waits out the outage and the turn passes on.
     pub(crate) fn step(&mut self, specs: &[TenantSpec], e_end: u64) {
+        let down = |plan: &Option<FailurePlan>, r: usize, t: u64| {
+            plan.as_ref().and_then(|p| p.down_until(r, t))
+        };
         loop {
+            if self.plan.is_some() {
+                if let Some((f, r)) = self.min_free() {
+                    if let Some(up) = down(&self.plan, r, f) {
+                        self.replicas.set_free(r, up);
+                        continue;
+                    }
+                }
+            }
             let na = self.next_arrival();
             let disp = self.next_dispatch();
             if let Some((t, gid)) = na {
@@ -818,7 +1110,10 @@ impl Shard {
                 }
             }
             match disp {
-                Some((at, rid)) if at < e_end => self.dispatch(specs, rid, at),
+                Some((at, rid)) if at < e_end => match down(&self.plan, rid, at) {
+                    Some(up) => self.replicas.set_free(rid, up),
+                    None => self.dispatch(specs, rid, at),
+                },
                 _ => break,
             }
         }
@@ -826,8 +1121,8 @@ impl Shard {
 
     /// Detach tenant `gid` for migration. Its shard-side heap entries go
     /// stale via the ownership check / stamp bump.
-    fn remove_tenant(&mut self, gid: usize) -> TenantState {
-        let mut t = self.tenants.remove(&gid).expect("migrating unknown tenant");
+    fn remove_tenant(&mut self, gid: usize) -> Box<TenantState> {
+        let mut t = self.tenants.remove(gid);
         self.ring.remove(gid);
         self.total_queued -= t.queue.len();
         t.stamp += 1;
@@ -835,21 +1130,17 @@ impl Shard {
     }
 
     /// Attach a migrated tenant.
-    fn add_tenant(&mut self, mut t: TenantState) {
+    fn add_tenant(&mut self, t: Box<TenantState>) {
         let gid = t.gid;
-        t.stamp += 1;
         self.total_queued += t.queue.len();
-        if !t.queue.is_empty() {
+        if !t.queue.is_empty() && self.pick == Pick::Drr {
             self.ring.push(gid);
-            if self.heap_mode() {
-                let rdy = tenant_ready(&t.queue, self.window_ns, self.max_batch).unwrap();
-                self.ready.push(rdy, gid, t.stamp);
-            }
         }
         if self.heap_mode() && t.cursor < t.arrivals.len() {
             self.arr_heap.push(Reverse((t.arrivals[t.cursor], gid)));
         }
-        self.tenants.insert(gid, t);
+        self.tenants.insert(t);
+        self.rekey(gid);
     }
 
     /// Earliest-free active replica (mode-consistent tie-break).
@@ -865,11 +1156,11 @@ impl Shard {
 /// within the crate so the epoch-parallel driver in [`crate::parallel`]
 /// can step shards concurrently.
 pub(crate) struct ShardedSim<'a> {
-    pub(crate) specs: &'a [TenantSpec],
+    specs: &'a [TenantSpec],
     wl: Workload,
     cfg: ShardConfig,
     grid: WinGrid,
-    pub(crate) shards: Vec<Shard>,
+    shards: Vec<Shard>,
     engine: Option<AlertEngine>,
     base_share: Vec<f64>,
     cooldown: usize,
@@ -916,9 +1207,11 @@ impl<'a> ShardedSim<'a> {
     pub(crate) fn new(specs: &'a [TenantSpec], wl: &Workload, cfg: &ShardConfig) -> Self {
         cfg.validate();
         let grid = WinGrid::new(wl.horizon_ns, cfg.epochs);
-        let mut shards: Vec<Shard> = (0..cfg.shards).map(|s| Shard::new(s, cfg, grid)).collect();
+        let mut shards: Vec<Shard> = (0..cfg.shards)
+            .map(|s| Shard::new(s, cfg, grid, specs.len()))
+            .collect();
         for (gid, spec) in specs.iter().enumerate() {
-            let t = TenantState::new(gid, spec, wl, grid.n);
+            let t = Box::new(TenantState::new(gid, spec, wl, grid.n));
             shards[gid % cfg.shards].add_tenant(t);
         }
         let total_rate: f64 = specs.iter().map(|s| s.rate_rps).sum();
@@ -951,17 +1244,51 @@ impl<'a> ShardedSim<'a> {
         }
     }
 
-    /// Barrier instants: epoch `e` ends at `(e+1)·win_len`, the last at
-    /// the horizon.
-    pub(crate) fn epoch_ends(&self) -> Vec<u64> {
-        (0..self.cfg.epochs)
-            .map(|e| self.grid.end_of(e, self.wl.horizon_ns))
-            .collect()
+    /// Switch the (single) shard to the FIFO pick with the replica
+    /// couplings of the global-FIFO front: the outage `plan` with its
+    /// retry deadline, and drift `health` monitoring.
+    pub(crate) fn with_fifo(
+        mut self,
+        plan: FailurePlan,
+        retry_deadline_ns: u64,
+        health: Option<HealthSpec>,
+    ) -> Self {
+        assert_eq!(self.shards.len(), 1, "the FIFO pick runs on one shard");
+        let sh = &mut self.shards[0];
+        debug_assert_eq!(sh.total_queued, 0);
+        sh.pick = Pick::Fifo;
+        sh.plan = Some(plan);
+        sh.retry_deadline_ns = retry_deadline_ns;
+        sh.health_spec = health;
+        self
+    }
+
+    /// Run the simulation: `step_all` advances every shard to each
+    /// barrier instant (epoch `e` ends at `(e+1)·win_len`, the last at
+    /// the horizon), the barrier runs, and a final step drains. The
+    /// sequential and epoch-parallel drivers differ only in `step_all`.
+    pub(crate) fn run_with(&mut self, mut step_all: impl FnMut(&mut [Shard], u64)) {
+        for e in 0..self.cfg.epochs {
+            let end = self.grid.end_of(e, self.wl.horizon_ns);
+            step_all(&mut self.shards, end);
+            self.barrier(e, end);
+        }
+        step_all(&mut self.shards, u64::MAX);
+    }
+
+    /// [`run_with`](Self::run_with) stepping the shards one after another.
+    pub(crate) fn run(&mut self) {
+        let specs = self.specs;
+        self.run_with(|shards, end| {
+            for sh in shards {
+                sh.step(specs, end);
+            }
+        });
     }
 
     /// The epoch barrier: settle → steal → autoscale → swap, each in a
     /// fixed deterministic order.
-    pub(crate) fn barrier(&mut self, epoch: usize, t_end: u64) {
+    fn barrier(&mut self, epoch: usize, t_end: u64) {
         for sh in &mut self.shards {
             sh.settle_depth(t_end);
         }
@@ -1014,12 +1341,12 @@ impl<'a> ShardedSim<'a> {
         }
         victims.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
         for (&thief, &(_, victim)) in thieves.iter().zip(victims.iter()) {
-            // Most backlogged tenant, ties to the lowest gid (BTreeMap
+            // Most backlogged tenant, ties to the lowest gid (slot
             // iteration is ascending, strict `>` keeps the first max).
             let Some((gid, moved)) = self.shards[victim]
                 .tenants
                 .iter()
-                .map(|(&g, t)| (t.queue.len(), g))
+                .map(|t| (t.queue.len(), t.gid))
                 .fold(None, |best: Option<(usize, usize)>, (len, g)| match best {
                     Some((bl, bg)) if bl >= len => Some((bl, bg)),
                     _ => Some((len, g)),
@@ -1119,9 +1446,9 @@ impl<'a> ShardedSim<'a> {
                 continue;
             }
             let owner = (0..self.shards.len())
-                .find(|&s| self.shards[s].tenants.contains_key(&gid))
+                .find(|&s| self.shards[s].tenants.get(gid).is_some())
                 .expect("tenant owned by no shard");
-            let t = &self.shards[owner].tenants[&gid];
+            let t = &self.shards[owner].tenants[gid];
             if t.swapped {
                 continue;
             }
@@ -1131,7 +1458,7 @@ impl<'a> ShardedSim<'a> {
                 continue;
             }
             let sh = &mut self.shards[owner];
-            sh.tenants.get_mut(&gid).unwrap().swapped = true;
+            sh.tenants.get_mut(gid).swapped = true;
             let (free, rid) = sh.min_free().expect("shard without active replica");
             sh.replicas.set_free(rid, free.max(t_end) + spec.remap_ns);
             self.swap_events.push(SwapEvent {
@@ -1146,77 +1473,66 @@ impl<'a> ShardedSim<'a> {
         }
     }
 
-    /// Assemble the final report (consumes the sim).
-    pub(crate) fn finish(mut self) -> ShardServingReport {
-        let n = self.specs.len();
-        let horizon = self.wl.horizon_ns;
-        let makespan = self
-            .shards
+    /// `n` per second of the simulated span `[0, makespan)` (0 for an
+    /// empty span).
+    fn per_s(n: u64, makespan: u64) -> f64 {
+        let span_s = makespan as f64 * 1e-9;
+        if span_s > 0.0 {
+            n as f64 / span_s
+        } else {
+            0.0
+        }
+    }
+
+    /// Last completion over all shards, never before the horizon.
+    fn makespan(&self) -> u64 {
+        self.shards
             .iter()
             .map(|s| s.makespan)
             .max()
             .unwrap_or(0)
-            .max(horizon);
-        let span_s = makespan as f64 * 1e-9;
-        // Collect tenants back out of their final shards, by gid.
+            .max(self.wl.horizon_ns)
+    }
+
+    /// Collect the tenants back out of their final shards, in gid order,
+    /// with the shard owning each.
+    fn take_tenants(&mut self) -> (Vec<TenantState>, Vec<usize>) {
+        let n = self.specs.len();
         let mut owners: Vec<usize> = vec![0; n];
         let mut states: Vec<Option<TenantState>> = (0..n).map(|_| None).collect();
         for sh in &mut self.shards {
-            let ids: Vec<usize> = sh.tenants.keys().copied().collect();
-            for gid in ids {
+            for t in sh.tenants.slots.iter_mut().filter_map(Option::take) {
+                let gid = t.gid;
                 owners[gid] = sh.id;
-                states[gid] = Some(sh.tenants.remove(&gid).unwrap());
+                states[gid] = Some(*t);
             }
         }
-        let states: Vec<TenantState> = states.into_iter().map(|t| t.unwrap()).collect();
-        let tenants: Vec<ShardTenantStats> = states
-            .iter()
-            .map(|t| ShardTenantStats {
-                name: self.specs[t.gid].name.clone(),
-                weight: t.weight,
-                shard: owners[t.gid],
-                submitted: t.submitted,
-                completed: t.completed,
-                rejected: t.rejected,
-                batches: t.batches,
-                p50_ns: t.hist.quantile(0.50),
-                p95_ns: t.hist.quantile(0.95),
-                p99_ns: t.hist.quantile(0.99),
-                max_ns: t.max_lat,
-                mean_ns: if t.completed == 0 {
-                    0.0
-                } else {
-                    t.lat_sum as f64 / t.completed as f64
-                },
-                slo_ns: t.slo_ns,
-                slo_attainment: if t.submitted == 0 {
-                    1.0
-                } else {
-                    t.met as f64 / t.submitted as f64
-                },
-                throughput_rps: if span_s > 0.0 {
-                    t.completed as f64 / span_s
-                } else {
-                    0.0
-                },
-                energy_nj: t.energy_nj,
-                attained_service_ns: t.attained_ns,
-                peak_queue_depth: t.peak_depth as u64,
-                mean_queue_depth: t.depth_area as f64 / makespan.max(1) as f64,
-                swapped: t.swapped,
-                histogram: t.hist.clone(),
-            })
-            .collect();
-        let fairness = jain_index(
+        let states = states
+            .into_iter()
+            .map(|t| t.expect("tenant owned by no shard"));
+        (states.collect(), owners)
+    }
+
+    /// Jain's index over attained service per unit weight of the tenants
+    /// that submitted anything.
+    fn fairness(states: &[TenantState]) -> f64 {
+        jain_index(
             states
                 .iter()
                 .filter(|t| t.submitted > 0)
                 .map(|t| t.attained_ns as f64 / t.weight as f64),
-        );
-        let windows: Vec<WindowStats> = (0..self.grid.n)
+        )
+    }
+
+    /// One [`WindowStats`] per epoch, summed over shards. Downtime comes
+    /// from the outage plan (0 without one).
+    fn windows(&self, states: &[TenantState], makespan: u64) -> Vec<WindowStats> {
+        (0..self.grid.n)
             .map(|w| {
                 let start_ns = self.grid.start_of(w);
                 let end_ns = start_ns + self.grid.len;
+                // The last window runs to the makespan: its depth integral
+                // and downtime include the drain tail.
                 let covered_to = if w + 1 == self.grid.n {
                     makespan.max(end_ns)
                 } else {
@@ -1234,6 +1550,7 @@ impl<'a> ShardedSim<'a> {
                 for s in &self.shards {
                     hist.merge(&s.win_hist[w]);
                 }
+                let replicas = self.cfg.replicas_per_shard;
                 WindowStats {
                     index: w,
                     start_ns,
@@ -1262,7 +1579,12 @@ impl<'a> ShardedSim<'a> {
                     // global instantaneous backlog peak (shard clocks
                     // are not aligned within an epoch).
                     peak_queue_depth: self.shards.iter().map(|s| s.win_peak[w] as u64).sum(),
-                    downtime_ns: 0,
+                    downtime_ns: sum(&|s| match &s.plan {
+                        Some(p) => (0..replicas)
+                            .map(|r| p.downtime_in(r, start_ns, covered_to))
+                            .sum(),
+                        None => 0,
+                    }),
                     fairness_index: jain_index(
                         states
                             .iter()
@@ -1272,14 +1594,47 @@ impl<'a> ShardedSim<'a> {
                     histogram: hist,
                 }
             })
+            .collect()
+    }
+
+    /// Assemble the sharded-runtime report (consumes the sim).
+    pub(crate) fn finish(mut self) -> ShardServingReport {
+        let makespan = self.makespan();
+        let (states, owners) = self.take_tenants();
+        let tenants: Vec<ShardTenantStats> = states
+            .iter()
+            .map(|t| ShardTenantStats {
+                name: self.specs[t.gid].name.clone(),
+                weight: t.weight,
+                shard: owners[t.gid],
+                submitted: t.submitted,
+                completed: t.completed,
+                rejected: t.rejected,
+                batches: t.batches,
+                p50_ns: t.hist.quantile(0.50),
+                p95_ns: t.hist.quantile(0.95),
+                p99_ns: t.hist.quantile(0.99),
+                max_ns: t.max_lat,
+                mean_ns: t.mean_ns(),
+                slo_ns: t.slo_ns,
+                slo_attainment: t.slo_attainment(),
+                throughput_rps: Self::per_s(t.completed, makespan),
+                energy_nj: t.energy_nj,
+                attained_service_ns: t.attained_ns,
+                peak_queue_depth: t.peak_depth as u64,
+                mean_queue_depth: t.mean_depth(makespan),
+                swapped: t.swapped,
+                histogram: t.hist.clone(),
+            })
             .collect();
+        let windows = self.windows(&states, makespan);
         let total_submitted: u64 = tenants.iter().map(|t| t.submitted).sum();
         let total_completed: u64 = tenants.iter().map(|t| t.completed).sum();
         let total_rejected: u64 = tenants.iter().map(|t| t.rejected).sum();
         let batches: u64 = tenants.iter().map(|t| t.batches).sum();
         ShardServingReport {
             seed: self.wl.seed,
-            horizon_ns: horizon,
+            horizon_ns: self.wl.horizon_ns,
             makespan_ns: makespan,
             shards: self.cfg.shards,
             epochs: self.cfg.epochs,
@@ -1296,30 +1651,21 @@ impl<'a> ShardedSim<'a> {
             total_completed,
             total_rejected,
             total_energy_nj: tenants.iter().map(|t| t.energy_nj).sum(),
-            aggregate_throughput_rps: if span_s > 0.0 {
-                total_completed as f64 / span_s
-            } else {
-                0.0
-            },
-            fairness_index: fairness,
+            aggregate_throughput_rps: Self::per_s(total_completed, makespan),
+            fairness_index: Self::fairness(&states),
             tenants,
             shard_stats: self
                 .shards
                 .iter()
                 .map(|s| ShardStats {
                     shard: s.id,
-                    tenants: 0, // re-filled below (tenants were drained)
+                    tenants: owners.iter().filter(|&&o| o == s.id).count(),
                     replicas_active: s.replicas.active(),
                     replicas_total: s.replicas.len(),
                     dispatched_batches: s.dispatched,
                     steals_in: s.steals_in,
                     steals_out: s.steals_out,
                     makespan_ns: s.makespan,
-                })
-                .enumerate()
-                .map(|(sid, mut st)| {
-                    st.tenants = owners.iter().filter(|&&o| o == sid).count();
-                    st
                 })
                 .collect(),
             windows,
@@ -1329,32 +1675,103 @@ impl<'a> ShardedSim<'a> {
             swap_events: self.swap_events,
         }
     }
-}
 
-/// Run the sharded simulation sequentially: step every shard to each
-/// barrier, run the barrier, then drain. The epoch-parallel driver in
-/// [`crate::parallel`] replays exactly this schedule with shards stepped
-/// concurrently between barriers.
-fn run_sequential(tenants: &[TenantSpec], wl: &Workload, cfg: &ShardConfig) -> ShardServingReport {
-    let _span = autohet_obs::trace::span("serve.run_sharded");
-    let mut sim = ShardedSim::new(tenants, wl, cfg);
-    let ends = sim.epoch_ends();
-    for (e, &end) in ends.iter().enumerate() {
-        for sh in &mut sim.shards {
-            sh.step(tenants, end);
+    /// Assemble the global-FIFO front's report (consumes the sim): exact
+    /// nearest-rank latency percentiles, failure and health accounting,
+    /// and the telemetry windows when `keep_windows`.
+    pub(crate) fn finish_serving(mut self, keep_windows: bool) -> ServingReport {
+        let makespan = self.makespan();
+        let (mut states, _) = self.take_tenants();
+        let windows = if keep_windows {
+            self.windows(&states, makespan)
+        } else {
+            Vec::new()
+        };
+        let tenants: Vec<TenantStats> = states
+            .iter_mut()
+            .map(|t| {
+                let lat = &mut t.latencies;
+                lat.sort_unstable();
+                TenantStats {
+                    name: self.specs[t.gid].name.clone(),
+                    submitted: t.submitted,
+                    completed: t.completed,
+                    rejected: t.rejected,
+                    failed: t.failed,
+                    retried: t.retried,
+                    degraded_completed: t.degraded,
+                    errored: t.errored,
+                    killed_batches: t.killed_batches,
+                    batches: t.batches,
+                    p50_ns: percentile(lat, 0.50),
+                    p95_ns: percentile(lat, 0.95),
+                    p99_ns: percentile(lat, 0.99),
+                    max_ns: t.max_lat,
+                    mean_ns: t.mean_ns(),
+                    slo_ns: t.slo_ns,
+                    slo_attainment: t.slo_attainment(),
+                    throughput_rps: Self::per_s(t.completed, makespan),
+                    energy_nj: t.energy_nj,
+                    peak_queue_depth: t.peak_depth as u64,
+                    mean_queue_depth: t.mean_depth(makespan),
+                    weight: t.weight,
+                    attained_service_ns: t.attained_ns,
+                    histogram: t.hist.clone(),
+                }
+            })
+            .collect();
+        let total = |f: fn(&TenantStats) -> u64| tenants.iter().map(f).sum::<u64>();
+        let (batches, total_completed) = (total(|t| t.batches), total(|t| t.completed));
+        let replicas = self.cfg.replicas_per_shard;
+        let shard = &mut self.shards[0];
+        let plan = shard
+            .plan
+            .as_ref()
+            .expect("FIFO shard without an outage plan");
+        let health = |f: fn(&ReplicaHealth) -> u64| shard.health.iter().map(f).collect();
+        ServingReport {
+            seed: self.wl.seed,
+            horizon_ns: self.wl.horizon_ns,
+            makespan_ns: makespan,
+            replicas,
+            batches,
+            mean_batch_size: if batches == 0 {
+                0.0
+            } else {
+                total_completed as f64 / batches as f64
+            },
+            total_completed,
+            total_rejected: total(|t| t.rejected),
+            total_failed: total(|t| t.failed),
+            total_retried: total(|t| t.retried),
+            total_errored: total(|t| t.errored),
+            replica_downtime_ns: (0..replicas)
+                .map(|r| plan.downtime_ns(r, makespan))
+                .collect(),
+            replica_trips: health(|h| h.trips),
+            replica_recals: health(|h| h.recals),
+            replica_remaps: health(|h| h.remaps),
+            replica_recovery_ns: health(|h| h.recovery_ns),
+            total_energy_nj: tenants.iter().map(|t| t.energy_nj).sum(),
+            aggregate_throughput_rps: Self::per_s(total_completed, makespan),
+            fairness_index: Self::fairness(&states),
+            tenants,
+            windows,
+            health_events: std::mem::take(&mut shard.health_events),
         }
-        sim.barrier(e, end);
     }
-    for sh in &mut sim.shards {
-        sh.step(tenants, u64::MAX);
-    }
-    sim.finish()
 }
 
 /// The sharded serving runtime (heap-mode scheduler unless the config
-/// says otherwise).
+/// says otherwise): step every shard to each barrier, run the barrier,
+/// then drain. The epoch-parallel driver in [`crate::parallel`] replays
+/// exactly this schedule with shards stepped concurrently between
+/// barriers.
 pub fn run_sharded(tenants: &[TenantSpec], wl: &Workload, cfg: &ShardConfig) -> ShardServingReport {
-    run_sequential(tenants, wl, cfg)
+    let _span = autohet_obs::trace::span("serve.run_sharded");
+    let mut sim = ShardedSim::new(tenants, wl, cfg);
+    sim.run();
+    sim.finish()
 }
 
 /// The linear-scan sequential reference: identical decisions through
@@ -1365,11 +1782,14 @@ pub fn run_sharded_reference(
     wl: &Workload,
     cfg: &ShardConfig,
 ) -> ShardServingReport {
-    let cfg = ShardConfig {
-        mode: SelectMode::LinearScan,
-        ..*cfg
-    };
-    run_sequential(tenants, wl, &cfg)
+    run_sharded(
+        tenants,
+        wl,
+        &ShardConfig {
+            mode: SelectMode::LinearScan,
+            ..*cfg
+        },
+    )
 }
 
 #[cfg(test)]
@@ -1430,6 +1850,89 @@ mod tests {
             let heap = run_sharded(&tenants, &wl, &cfg);
             let scan = run_sharded_reference(&tenants, &wl, &cfg);
             assert_eq!(heap, scan, "shards={shards}");
+        }
+    }
+
+    /// The linear-scan oracle for the FIFO pick and its replica
+    /// couplings: an overloaded fleet (full batches, shedding) under
+    /// outages, retries and every drift-breaker outcome.
+    #[test]
+    fn fifo_heap_mode_is_bit_identical_to_the_linear_scan_reference() {
+        use crate::failure::FailureSpec;
+        use crate::sim::{serve_fifo, HealthSpec, ServeConfig};
+        let tenants = fleet(7);
+        let wl = Workload {
+            seed: 13,
+            horizon_ns: 40_000_000,
+        };
+        let flaky = |seed| {
+            Some(FailureSpec {
+                mtbf_ns: 2_000_000,
+                mttr_ns: 400_000,
+                seed,
+            })
+        };
+        let drift = |trip_milli, remap, recal_success_milli| {
+            Some(HealthSpec {
+                err_ppm_per_ms: 30_000,
+                trip_milli,
+                remap,
+                recal_success_milli,
+                ..HealthSpec::default()
+            })
+        };
+        let base = ServeConfig {
+            replicas: 2,
+            queue_depth: 12,
+            telemetry_windows: 8,
+            ..ServeConfig::default()
+        };
+        let cases = [
+            ServeConfig {
+                failures: flaky(17),
+                ..base
+            },
+            ServeConfig {
+                failures: flaky(5),
+                retry_deadline_ns: 0,
+                ..base
+            },
+            ServeConfig {
+                health: drift(60, true, 800),
+                ..base
+            },
+            ServeConfig {
+                health: drift(60, false, 0),
+                ..base
+            },
+            ServeConfig {
+                replicas: 3,
+                failures: flaky(23),
+                health: drift(60, true, 800),
+                ..base
+            },
+            ServeConfig {
+                max_batch: 3,
+                queue_depth: 8,
+                failures: flaky(9),
+                health: drift(1001, false, 800),
+                ..base
+            },
+        ];
+        for (i, cfg) in cases.iter().enumerate() {
+            let heap = serve_fifo(&tenants, &wl, cfg, SelectMode::Heap);
+            let scan = serve_fifo(&tenants, &wl, cfg, SelectMode::LinearScan);
+            assert!(heap.total_rejected > 0, "case {i} must overload the fleet");
+            if cfg.failures.is_some() {
+                assert!(
+                    heap.tenants.iter().any(|t| t.killed_batches > 0),
+                    "case {i}"
+                );
+            }
+            if cfg.health.is_some() {
+                assert!(heap.total_errored > 0, "case {i}");
+            }
+            assert_eq!(heap, scan, "case {i}");
         }
     }
 

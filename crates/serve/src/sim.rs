@@ -1,21 +1,19 @@
-//! The discrete-event serving core and its single-threaded driver.
+//! The global-FIFO serving front and its replica couplings.
 //!
-//! The simulation is expressed as a recurrence rather than an explicit
-//! event heap: [`SimCore::next_batch`] is called with the free time of
-//! the earliest-free replica and returns the next dispatched batch,
-//! internally ingesting every arrival (admission or shedding) that
-//! precedes the dispatch. Because free times are non-decreasing across
-//! calls, candidate dispatch times only improve as arrivals are ingested,
-//! and ingestion is gated by the current best candidate, the resulting
-//! event order is causally consistent; [`run_serving`] evaluates the
-//! recurrence on one thread.
+//! [`run_serving`] is a thin front onto the one serving scheduler in
+//! [`shard`](crate::shard): a single shard holding every tenant and
+//! `replicas` replicas, whose epochs are the telemetry windows, with the
+//! FIFO pick rule (oldest head request among the dispatchable tenants)
+//! in place of deficit round-robin. This module owns what only that
+//! front configures: [`ServeConfig`], the replica outage schedule it
+//! implies, and the drift [`HealthSpec`] with the per-replica health
+//! model the scheduler applies to every completed batch.
 
 use crate::failure::FailurePlan;
-use crate::ready::ReplicaPool;
-use crate::report::{assemble_report, ServingReport};
-use crate::workload::{merge_arrivals, Arrival, TenantSpec, Workload};
+use crate::report::ServingReport;
+use crate::shard::{SelectMode, ShardConfig, ShardedSim};
+use crate::workload::{TenantSpec, Workload};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// Online replica-health monitoring and drift recovery — the serving half
 /// of the lifetime-resilience layer (DESIGN.md §12).
@@ -44,22 +42,22 @@ pub struct HealthSpec {
     /// Per-request error probability growth: ppm per millisecond since
     /// the replica's last successful recalibration.
     pub err_ppm_per_ms: u64,
-    /// Ceiling on the per-request error probability [ppm].
+    /// Ceiling on the per-request error probability \[ppm\].
     pub err_cap_ppm: u64,
     /// EWMA weight on the newest batch's error fraction (1..=1000).
     pub ewma_alpha_milli: u64,
-    /// Circuit-breaker threshold on the EWMA [milli]; a value above 1000
+    /// Circuit-breaker threshold on the EWMA \[milli\]; a value above 1000
     /// can never be reached, disabling recovery entirely.
     pub trip_milli: u64,
-    /// Replica pause per recalibration attempt [ns].
+    /// Replica pause per recalibration attempt \[ns\].
     pub recalibrate_ns: u64,
-    /// Per-attempt recalibration success probability [milli].
+    /// Per-attempt recalibration success probability \[milli\].
     pub recal_success_milli: u64,
     /// Bounded recalibration attempts per trip.
     pub max_retries: u32,
-    /// Extra pause before each attempt [ns], doubling per attempt.
+    /// Extra pause before each attempt \[ns\], doubling per attempt.
     pub backoff_base_ns: u64,
-    /// Replica pause for the remap escalation [ns].
+    /// Replica pause for the remap escalation \[ns\].
     pub remap_ns: u64,
     /// Escalate to a remap (always succeeds) when retries are exhausted.
     pub remap: bool,
@@ -103,9 +101,9 @@ impl HealthSpec {
 /// so it evolves identically on every run).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct ReplicaHealth {
-    /// Instant of the last successful recalibration/remap [ns].
+    /// Instant of the last successful recalibration/remap \[ns\].
     pub last_recal_ns: u64,
-    /// Error-rate EWMA [milli].
+    /// Error-rate EWMA \[milli\].
     pub ewma_milli: u64,
     /// Circuit-breaker trips.
     pub trips: u64,
@@ -113,8 +111,104 @@ pub(crate) struct ReplicaHealth {
     pub recals: u64,
     /// Remap escalations.
     pub remaps: u64,
-    /// Total time spent paused in recovery [ns].
+    /// Total time spent paused in recovery \[ns\].
     pub recovery_ns: u64,
+}
+
+impl ReplicaHealth {
+    /// Health bookkeeping for a batch of `n` requests that dispatched on
+    /// `replica` at `start_ns` as dispatch number `index` (killed batches
+    /// count) and completes at `completion_ns`: decide the per-request
+    /// drift errors, fold the batch error fraction into the EWMA, and —
+    /// if the circuit breaker trips — run the bounded recalibrate →
+    /// remap recovery, recording each transition in `events`. Returns
+    /// the per-request error flags (empty when all clean, the canonical
+    /// encoding) and the instant the replica is next free (≥
+    /// `completion_ns`; recovery pauses extend it, shedding load to the
+    /// healthy replicas).
+    ///
+    /// Everything here is a pure function of the spec and this replica's
+    /// own completion sequence (error rolls are keyed on batch index and
+    /// position, recovery rolls on the trip count).
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn complete_batch(
+        &mut self,
+        spec: &HealthSpec,
+        replica: usize,
+        index: u64,
+        start_ns: u64,
+        n: usize,
+        completion_ns: u64,
+        events: &mut Vec<HealthEvent>,
+    ) -> (Vec<bool>, u64) {
+        let elapsed_ns = start_ns.saturating_sub(self.last_recal_ns);
+        let p_ppm = ((spec.err_ppm_per_ms as u128 * elapsed_ns as u128) / 1_000_000)
+            .min(spec.err_cap_ppm as u128) as u64;
+        let mut errored = Vec::new();
+        let mut errors = 0u64;
+        if p_ppm > 0 {
+            errored = vec![false; n];
+            for (i, e) in errored.iter_mut().enumerate() {
+                if health_roll(spec.seed, replica as u64, index, i as u64) % 1_000_000 < p_ppm {
+                    *e = true;
+                    errors += 1;
+                }
+            }
+        }
+        if errors == 0 {
+            errored = Vec::new();
+        }
+        let batch_milli = errors * 1000 / n.max(1) as u64;
+        self.ewma_milli = (spec.ewma_alpha_milli * batch_milli
+            + (1000 - spec.ewma_alpha_milli) * self.ewma_milli)
+            / 1000;
+        if self.ewma_milli < spec.trip_milli {
+            return (errored, completion_ns);
+        }
+        // Circuit breaker: take the replica out of service and recover.
+        self.trips += 1;
+        let mut event = |t_ns, kind| {
+            events.push(HealthEvent {
+                t_ns,
+                replica,
+                kind,
+            })
+        };
+        event(completion_ns, HealthEventKind::Trip);
+        let mut t = completion_ns;
+        for attempt in 0..spec.max_retries {
+            t += spec.recalibrate_ns + (spec.backoff_base_ns << attempt.min(20));
+            let roll = health_roll(
+                spec.seed ^ 0x5EA1ED,
+                replica as u64,
+                self.trips,
+                attempt as u64,
+            ) % 1000;
+            if roll < spec.recal_success_milli {
+                self.recals += 1;
+                self.last_recal_ns = t;
+                self.ewma_milli = 0;
+                self.recovery_ns += t - completion_ns;
+                event(t, HealthEventKind::Recal);
+                return (errored, t);
+            }
+        }
+        if spec.remap {
+            t += spec.remap_ns;
+            self.remaps += 1;
+            self.last_recal_ns = t;
+            self.ewma_milli = 0;
+            self.recovery_ns += t - completion_ns;
+            event(t, HealthEventKind::Remap);
+            return (errored, t);
+        }
+        // Out of retries with no remap escalation: the breaker re-arms
+        // but the drift clock keeps running — accuracy keeps eroding.
+        self.ewma_milli = 0;
+        self.recovery_ns += t - completion_ns;
+        event(t, HealthEventKind::RecoveryFailed);
+        (errored, t)
+    }
 }
 
 /// What happened in one replica-health transition (see [`HealthEvent`]).
@@ -142,14 +236,14 @@ impl HealthEventKind {
     }
 }
 
-/// One timestamped replica-health transition. Recorded inside
-/// [`SimCore::apply_health`] at a fixed point of the scheduling
+/// One timestamped replica-health transition. The health monitor records
+/// it when a batch completes, at a fixed point of the scheduling
 /// recurrence, so the event sequence is bit-identical across runs.
 /// Trips carry the batch completion instant; recovery outcomes carry the
 /// instant the replica came back (or gave up).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HealthEvent {
-    /// Simulated instant of the transition [ns].
+    /// Simulated instant of the transition \[ns\].
     pub t_ns: u64,
     /// Replica the transition happened on.
     pub replica: usize,
@@ -178,7 +272,7 @@ pub struct ServeConfig {
     /// Maximum requests per dispatched batch.
     pub max_batch: usize,
     /// Maximum time the oldest queued request waits before its tenant
-    /// becomes dispatchable regardless of batch fill [ns].
+    /// becomes dispatchable regardless of batch fill \[ns\].
     pub batch_window_ns: u64,
     /// Per-tenant bound on waiting requests; arrivals beyond it are shed.
     pub queue_depth: usize,
@@ -186,7 +280,7 @@ pub struct ServeConfig {
     pub failures: Option<crate::failure::FailureSpec>,
     /// A request interrupted by an instance failure is retried on a
     /// surviving replica only while its age is within this deadline;
-    /// older interrupted requests are dropped as failed [ns].
+    /// older interrupted requests are dropped as failed \[ns\].
     pub retry_deadline_ns: u64,
     /// Number of equal time windows over `[0, horizon)` to aggregate
     /// per-window telemetry into ([`WindowStats`] on the report); 0
@@ -240,493 +334,50 @@ impl ServeConfig {
     }
 }
 
-/// One queued (or in-flight) request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Req {
-    /// Original arrival timestamp [ns] — latency and retry deadlines are
-    /// always measured from here, across any number of retries.
-    pub arrival_ns: u64,
-    /// Times this request was returned to its queue by a killed batch.
-    pub retries: u32,
-}
-
-/// A batch the scheduler decided to dispatch.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct BatchJob {
-    /// Dispatch sequence number (0-based, gap-free).
-    pub index: usize,
-    /// Owning tenant.
-    pub tenant: usize,
-    /// Dispatch timestamp [ns].
-    pub start_ns: u64,
-    /// Requests in the batch, FIFO order by arrival.
-    pub requests: Vec<Req>,
-}
-
-/// A completed batch with everything report assembly needs.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct BatchResult {
-    pub index: usize,
-    pub tenant: usize,
-    pub completion_ns: u64,
-    pub requests: Vec<Req>,
-    /// Per-request drift-error flags, parallel to `requests`; empty when
-    /// no request in the batch errored (the canonical all-clean encoding,
-    /// so reports are identical whether health modeling is off or merely
-    /// produced no errors).
-    pub errored: Vec<bool>,
-    pub energy_nj: f64,
-    /// Busy replica-time the batch consumed (dispatch → completion) —
-    /// the "attained service" the fairness index aggregates.
-    pub service_ns: u64,
-}
-
-/// Queue/admission state shared by both execution modes.
-pub(crate) struct SimCore {
-    arrivals: Vec<Arrival>,
-    cursor: usize,
-    window_ns: u64,
-    max_batch: usize,
-    depth_bound: usize,
-    queues: Vec<VecDeque<Req>>,
-    next_index: usize,
-    pub submitted: Vec<u64>,
-    pub rejected: Vec<u64>,
-    pub retried: Vec<u64>,
-    pub failed: Vec<u64>,
-    pub killed_batches: Vec<u64>,
-    pub peak_depth: Vec<usize>,
-    depth_area: Vec<u128>,
-    last_event: Vec<u64>,
-    // Per-window telemetry (empty when cfg.telemetry_windows == 0). The
-    // accumulators are maintained inside the scheduling recurrence, so
-    // both execution modes produce identical window accounting.
-    win_len: u64,
-    total_queued: usize,
-    pub win_submitted: Vec<u64>,
-    pub win_rejected: Vec<u64>,
-    pub win_depth_area: Vec<u128>,
-    pub win_peak_depth: Vec<usize>,
-    // Online health monitoring (inert when `health_spec` is `None`). The
-    // state is per replica but lives here so both execution modes mutate
-    // it at the same point of the scheduling recurrence, under the lock.
-    health_spec: Option<HealthSpec>,
-    pub health: Vec<ReplicaHealth>,
-    /// Timestamped health transitions in recurrence order (empty without
-    /// a `HealthSpec` or when the breaker never trips).
-    pub health_events: Vec<HealthEvent>,
-}
-
-impl SimCore {
-    pub fn new(
-        n_tenants: usize,
-        arrivals: Vec<Arrival>,
-        cfg: &ServeConfig,
-        horizon_ns: u64,
-    ) -> Self {
-        let n_win = cfg.telemetry_windows;
-        SimCore {
-            arrivals,
-            cursor: 0,
-            window_ns: cfg.batch_window_ns,
-            max_batch: cfg.max_batch,
-            depth_bound: cfg.queue_depth,
-            queues: vec![VecDeque::new(); n_tenants],
-            next_index: 0,
-            submitted: vec![0; n_tenants],
-            rejected: vec![0; n_tenants],
-            retried: vec![0; n_tenants],
-            failed: vec![0; n_tenants],
-            killed_batches: vec![0; n_tenants],
-            peak_depth: vec![0; n_tenants],
-            depth_area: vec![0; n_tenants],
-            last_event: vec![0; n_tenants],
-            win_len: if n_win == 0 {
-                0
-            } else {
-                (horizon_ns / n_win as u64).max(1)
-            },
-            total_queued: 0,
-            win_submitted: vec![0; n_win],
-            win_rejected: vec![0; n_win],
-            win_depth_area: vec![0; n_win],
-            win_peak_depth: vec![0; n_win],
-            health_spec: cfg.health,
-            health: vec![ReplicaHealth::default(); cfg.replicas],
-            health_events: Vec::new(),
-        }
-    }
-
-    /// Health bookkeeping for a batch completing on `replica` at
-    /// `completion_ns`: decide the per-request drift errors, fold the
-    /// batch error fraction into the replica's EWMA, and — if the circuit
-    /// breaker trips — run the bounded recalibrate → remap recovery.
-    /// Returns the per-request error flags (empty when all clean) and the
-    /// instant the replica is next free (≥ `completion_ns`; recovery
-    /// pauses extend it, shedding load to the healthy replicas).
-    ///
-    /// Everything here is a pure function of the spec and this replica's
-    /// own completion sequence (error rolls are keyed on batch index and
-    /// position, recovery rolls on the trip count), so both execution
-    /// drivers evolve identical health state.
-    pub fn apply_health(
-        &mut self,
-        replica: usize,
-        job: &BatchJob,
-        completion_ns: u64,
-    ) -> (Vec<bool>, u64) {
-        let Some(spec) = self.health_spec else {
-            return (Vec::new(), completion_ns);
-        };
-        let h = &mut self.health[replica];
-        let elapsed_ns = job.start_ns.saturating_sub(h.last_recal_ns);
-        let p_ppm = ((spec.err_ppm_per_ms as u128 * elapsed_ns as u128) / 1_000_000)
-            .min(spec.err_cap_ppm as u128) as u64;
-        let mut errored = vec![false; job.requests.len()];
-        let mut errors = 0u64;
-        if p_ppm > 0 {
-            for (i, e) in errored.iter_mut().enumerate() {
-                if health_roll(spec.seed, replica as u64, job.index as u64, i as u64) % 1_000_000
-                    < p_ppm
-                {
-                    *e = true;
-                    errors += 1;
-                }
-            }
-        }
-        if errors == 0 {
-            errored = Vec::new();
-        }
-        let batch_milli = errors * 1000 / job.requests.len().max(1) as u64;
-        h.ewma_milli = (spec.ewma_alpha_milli * batch_milli
-            + (1000 - spec.ewma_alpha_milli) * h.ewma_milli)
-            / 1000;
-        if h.ewma_milli < spec.trip_milli {
-            return (errored, completion_ns);
-        }
-        // Circuit breaker: take the replica out of service and recover.
-        h.trips += 1;
-        self.health_events.push(HealthEvent {
-            t_ns: completion_ns,
-            replica,
-            kind: HealthEventKind::Trip,
-        });
-        let mut t = completion_ns;
-        for attempt in 0..spec.max_retries {
-            t += spec.recalibrate_ns + (spec.backoff_base_ns << attempt.min(20));
-            let roll = health_roll(
-                spec.seed ^ 0x5EA1ED,
-                replica as u64,
-                h.trips,
-                attempt as u64,
-            ) % 1000;
-            if roll < spec.recal_success_milli {
-                h.recals += 1;
-                h.last_recal_ns = t;
-                h.ewma_milli = 0;
-                h.recovery_ns += t - completion_ns;
-                self.health_events.push(HealthEvent {
-                    t_ns: t,
-                    replica,
-                    kind: HealthEventKind::Recal,
-                });
-                return (errored, t);
-            }
-        }
-        if spec.remap {
-            t += spec.remap_ns;
-            h.remaps += 1;
-            h.last_recal_ns = t;
-            h.ewma_milli = 0;
-            h.recovery_ns += t - completion_ns;
-            self.health_events.push(HealthEvent {
-                t_ns: t,
-                replica,
-                kind: HealthEventKind::Remap,
-            });
-            return (errored, t);
-        }
-        // Out of retries with no remap escalation: the breaker re-arms
-        // but the drift clock keeps running — accuracy keeps eroding.
-        h.ewma_milli = 0;
-        h.recovery_ns += t - completion_ns;
-        self.health_events.push(HealthEvent {
-            t_ns: t,
-            replica,
-            kind: HealthEventKind::RecoveryFailed,
-        });
-        (errored, t)
-    }
-
-    /// Telemetry window containing instant `t` (the last window absorbs
-    /// everything past the nominal horizon — the drain tail).
-    pub fn window_of(&self, t_ns: u64) -> usize {
-        debug_assert!(self.win_len > 0);
-        ((t_ns / self.win_len) as usize).min(self.win_submitted.len() - 1)
-    }
-
-    /// Nominal length of one telemetry window [ns] (0 when disabled).
-    pub fn window_len_ns(&self) -> u64 {
-        self.win_len
-    }
-
-    /// Add `depth × dt` of aggregate queue depth over `[from, to)` to the
-    /// per-window depth integrals, splitting across window boundaries.
-    fn add_depth_span(&mut self, depth: u128, from: u64, to: u64) {
-        if self.win_submitted.is_empty() || to <= from {
-            return;
-        }
-        let last = self.win_submitted.len() - 1;
-        let mut t = from;
-        while t < to {
-            let w = self.window_of(t);
-            let end = if w == last {
-                to
-            } else {
-                ((w as u64 + 1) * self.win_len).min(to)
-            };
-            self.win_depth_area[w] += depth * (end - t) as u128;
-            t = end;
-        }
-    }
-
-    /// Record that the aggregate queued-request count changed at `t`.
-    fn note_total_depth(&mut self, t_ns: u64) {
-        if self.win_submitted.is_empty() {
-            return;
-        }
-        let w = self.window_of(t_ns);
-        if self.total_queued > self.win_peak_depth[w] {
-            self.win_peak_depth[w] = self.total_queued;
-        }
-    }
-
-    /// Earliest dispatch `(at, head_arrival, tenant)` for tenant `t`
-    /// given the earliest replica free time, if `t` has queued work.
-    fn candidate(&self, t: usize, free_ns: u64) -> Option<(u64, u64, usize)> {
-        let q = &self.queues[t];
-        let head = q.front()?.arrival_ns;
-        let mut ready = head.saturating_add(self.window_ns);
-        if q.len() >= self.max_batch {
-            // The batch filled when its max_batch-th request arrived.
-            ready = ready.min(q[self.max_batch - 1].arrival_ns);
-        }
-        Some((ready.max(free_ns), head, t))
-    }
-
-    /// Best dispatch over all tenants: min (time, head age, tenant id).
-    fn best_candidate(&self, free_ns: u64) -> Option<(u64, u64, usize)> {
-        (0..self.queues.len())
-            .filter_map(|t| self.candidate(t, free_ns))
-            .min()
-    }
-
-    /// Advance the time-weighted queue-depth integral for tenant `t` up
-    /// to `now` (per-tenant event times are monotone).
-    fn track_depth(&mut self, t: usize, now: u64) {
-        let dt = now.saturating_sub(self.last_event[t]);
-        let depth = self.queues[t].len() as u128;
-        self.depth_area[t] += depth * dt as u128;
-        let (from, to) = (self.last_event[t], now);
-        self.add_depth_span(depth, from, to);
-        self.last_event[t] = now;
-    }
-
-    /// Admit or shed one arrival.
-    fn ingest(&mut self, a: Arrival) {
-        self.submitted[a.tenant] += 1;
-        if !self.win_submitted.is_empty() {
-            let w = self.window_of(a.time_ns);
-            self.win_submitted[w] += 1;
-            if self.queues[a.tenant].len() >= self.depth_bound {
-                self.win_rejected[w] += 1;
-            }
-        }
-        if self.queues[a.tenant].len() >= self.depth_bound {
-            self.rejected[a.tenant] += 1;
-            return;
-        }
-        self.track_depth(a.tenant, a.time_ns);
-        self.queues[a.tenant].push_back(Req {
-            arrival_ns: a.time_ns,
-            retries: 0,
-        });
-        self.total_queued += 1;
-        self.note_total_depth(a.time_ns);
-        let depth = self.queues[a.tenant].len();
-        if depth > self.peak_depth[a.tenant] {
-            self.peak_depth[a.tenant] = depth;
-        }
-    }
-
-    /// Ingest arrivals up to the next dispatch and return its time without
-    /// draining any queue — the failure-aware drivers use this to check
-    /// replica availability *at the dispatch instant* before committing.
-    /// A subsequent [`next_batch`](Self::next_batch) with the same
-    /// `free_ns` returns exactly the peeked batch. Idempotent at
-    /// exhaustion.
-    pub fn peek_dispatch(&mut self, free_ns: u64) -> Option<u64> {
-        loop {
-            let best = self.best_candidate(free_ns);
-            let next = self.arrivals.get(self.cursor).copied();
-            match (best, next) {
-                (None, None) => return None,
-                (None, Some(a)) => {
-                    self.cursor += 1;
-                    self.ingest(a);
-                }
-                (Some((at, _, _)), next) => {
-                    if let Some(a) = next {
-                        // Arrivals at the dispatch instant join first.
-                        if a.time_ns <= at {
-                            self.cursor += 1;
-                            self.ingest(a);
-                            continue;
-                        }
-                    }
-                    return Some(at);
-                }
-            }
-        }
-    }
-
-    /// The scheduling recurrence: given the minimum replica free time,
-    /// ingest arrivals up to the next dispatch and return that batch, or
-    /// `None` once the workload is drained. Idempotent at exhaustion.
-    pub fn next_batch(&mut self, free_ns: u64) -> Option<BatchJob> {
-        self.peek_dispatch(free_ns)?;
-        let (at, _, t) = self
-            .best_candidate(free_ns)
-            .expect("peeked dispatch vanished");
-        let n = self.queues[t].len().min(self.max_batch);
-        self.track_depth(t, at);
-        let requests: Vec<Req> = self.queues[t].drain(..n).collect();
-        self.total_queued -= n;
-        let index = self.next_index;
-        self.next_index += 1;
-        Some(BatchJob {
-            index,
-            tenant: t,
-            start_ns: at,
-            requests,
-        })
-    }
-
-    /// Return a killed batch's requests to the head of their queue (they
-    /// are the oldest outstanding requests, so FIFO order by arrival is
-    /// preserved): a request is retried while its age at `killed_ns` is
-    /// within `deadline_ns`, and dropped as failed otherwise. Retried
-    /// requests keep their original arrival time, so their eventual
-    /// latency spans the failure.
-    pub fn requeue(&mut self, job: BatchJob, killed_ns: u64, deadline_ns: u64) {
-        let t = job.tenant;
-        self.killed_batches[t] += 1;
-        self.track_depth(t, killed_ns);
-        for req in job.requests.into_iter().rev() {
-            if killed_ns.saturating_sub(req.arrival_ns) <= deadline_ns {
-                self.retried[t] += 1;
-                self.queues[t].push_front(Req {
-                    arrival_ns: req.arrival_ns,
-                    retries: req.retries + 1,
-                });
-                self.total_queued += 1;
-            } else {
-                self.failed[t] += 1;
-            }
-        }
-        self.note_total_depth(killed_ns);
-        let depth = self.queues[t].len();
-        if depth > self.peak_depth[t] {
-            self.peak_depth[t] = depth;
-        }
-    }
-
-    /// Mean waiting-queue depth for tenant `t` over `[0, makespan_ns]`.
-    pub fn mean_depth(&self, t: usize, makespan_ns: u64) -> f64 {
-        if makespan_ns == 0 {
-            return 0.0;
-        }
-        self.depth_area[t] as f64 / makespan_ns as f64
-    }
-}
-
-/// Turn a dispatched batch into its completed result.
-pub(crate) fn finish_batch(
-    spec: &TenantSpec,
-    job: BatchJob,
-    completion_ns: u64,
-    errored: Vec<bool>,
-) -> BatchResult {
-    let n = job.requests.len();
-    BatchResult {
-        index: job.index,
-        tenant: job.tenant,
-        completion_ns,
-        service_ns: completion_ns.saturating_sub(job.start_ns),
-        requests: job.requests,
-        errored,
-        energy_nj: n as f64 * spec.deployment.energy_per_request_nj(),
-    }
-}
-
-/// Run the serving simulation on a single thread.
+/// Run the serving simulation: every tenant on one shard of the serving
+/// scheduler with `cfg.replicas` replicas and the global-FIFO pick.
 ///
 /// Same (tenants, workload, config) ⇒ bit-identical [`ServingReport`].
 ///
-/// With `cfg.failures` set, the loop additionally consults the replica
-/// outage schedule at every step: a replica that is down at its would-be
-/// dispatch instant fails over (its free time jumps to the recovery edge
-/// and the turn passes to survivors), and a batch whose service window an
-/// outage cuts short is killed at the failure edge, its requests retried
-/// within the deadline or dropped as failed. Outages and service times
-/// are both known at dispatch, so every batch's fate is resolved
-/// synchronously.
+/// With `cfg.failures` set, the scheduler additionally consults the
+/// replica outage schedule at every step: a replica that is down at its
+/// would-be dispatch instant fails over (its free time jumps to the
+/// recovery edge and the turn passes to survivors), and a batch whose
+/// service window an outage cuts short is killed at the failure edge, its
+/// requests retried within the deadline or dropped as failed. Outages and
+/// service times are both known at dispatch, so every batch's fate is
+/// resolved synchronously.
 pub fn run_serving(tenants: &[TenantSpec], wl: &Workload, cfg: &ServeConfig) -> ServingReport {
     let _span = autohet_obs::trace::span("serve.run");
+    serve_fifo(tenants, wl, cfg, SelectMode::Heap)
+}
+
+/// [`run_serving`] on either scheduler implementation; the linear-scan
+/// oracle test runs both.
+pub(crate) fn serve_fifo(
+    tenants: &[TenantSpec],
+    wl: &Workload,
+    cfg: &ServeConfig,
+    mode: SelectMode,
+) -> ServingReport {
     cfg.validate();
-    let plan = cfg.failure_plan(wl);
-    let mut core = SimCore::new(
-        tenants.len(),
-        merge_arrivals(tenants, wl),
-        cfg,
-        wl.horizon_ns,
+    let shard_cfg = ShardConfig {
+        shards: 1,
+        replicas_per_shard: cfg.replicas,
+        max_batch: cfg.max_batch,
+        batch_window_ns: cfg.batch_window_ns,
+        queue_depth: cfg.queue_depth,
+        epochs: cfg.telemetry_windows.max(1),
+        mode,
+        ..ShardConfig::default()
+    };
+    let mut sim = ShardedSim::new(tenants, wl, &shard_cfg).with_fifo(
+        cfg.failure_plan(wl),
+        cfg.retry_deadline_ns,
+        cfg.health,
     );
-    // Heap-backed replica free-list: O(log R) per update instead of the
-    // old `argmin_replica` O(R) scan, with the scan's exact lowest-id
-    // tie-break — decisions are unchanged bit for bit.
-    let mut pool = ReplicaPool::new(cfg.replicas);
-    let mut batches = Vec::new();
-    loop {
-        let (f, r) = pool.peek_min().expect("at least one replica");
-        // Down at the earliest free instant: wait out the outage.
-        if let Some(up) = plan.down_until(r, f) {
-            pool.set_free(r, up);
-            continue;
-        }
-        let Some(at) = core.peek_dispatch(f) else {
-            break;
-        };
-        // Down at the dispatch instant: fail over without touching queues.
-        if let Some(up) = plan.down_until(r, at) {
-            pool.set_free(r, up);
-            continue;
-        }
-        let job = core.next_batch(f).expect("peeked batch vanished");
-        let spec = &tenants[job.tenant];
-        let completion = job.start_ns + spec.deployment.service_ns(job.requests.len());
-        match plan.outage_in(r, job.start_ns, completion) {
-            Some(o) => {
-                pool.set_free(r, o.up_ns);
-                core.requeue(job, o.down_ns, cfg.retry_deadline_ns);
-            }
-            None => {
-                let (errored, next_free) = core.apply_health(r, &job, completion);
-                pool.set_free(r, next_free);
-                batches.push(finish_batch(spec, job, completion, errored));
-            }
-        }
-    }
-    assemble_report(tenants, wl, cfg, &core, &batches, &plan)
+    sim.run();
+    sim.finish_serving(cfg.telemetry_windows > 0)
 }
 
 #[cfg(test)]

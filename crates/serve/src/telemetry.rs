@@ -84,9 +84,10 @@ pub fn publish_report(report: &ServingReport, registry: &Registry, prefix: &str)
 }
 
 /// Alert rules evaluated over a serving run's per-window telemetry (see
-/// [`alert_timeline`]). The configuration lives outside [`ServeConfig`]
-/// (which stays `Copy + Eq`): alerting is a post-hoc, read-only pass over
-/// the report, so it cannot perturb the simulation by construction.
+/// [`alert_timeline`]). The configuration lives outside
+/// [`ServeConfig`](crate::sim::ServeConfig) (which stays `Copy + Eq`):
+/// alerting is a post-hoc, read-only pass over the report, so it cannot
+/// perturb the simulation by construction.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServeAlertConfig {
     /// SLO attainment target per window; the burn-rate rule watches the
@@ -124,19 +125,11 @@ pub const QUEUE_SATURATION_RULE: &str = "serve.queue_saturation";
 /// See [`SLO_BURN_RULE`].
 pub const DOWNTIME_RULE: &str = "serve.downtime";
 
-/// Evaluate a serving report's telemetry windows through the
-/// deterministic alert engine and return the resulting timeline.
-///
-/// Each [`WindowStats`](crate::report::WindowStats) is observed at its
-/// `end_ns` with three signals — the window's SLO error fraction, its
-/// time-weighted mean aggregate queue depth, and its replica downtime —
-/// and every recorded [`HealthEvent`](crate::sim::HealthEvent) is placed
-/// on the same timeline as an annotation (`health.trip`, `health.recal`,
-/// …, carrying the replica id as the value). Because the evaluation runs
-/// over the finished report on simulated time only, the timeline is
-/// bit-identical across runs, and producing it cannot change the report.
-pub fn alert_timeline(report: &ServingReport, cfg: &ServeAlertConfig) -> AlertTimeline {
-    let mut engine = AlertEngine::new()
+/// An alert engine holding the rules both timelines evaluate over the
+/// telemetry windows: the SLO burn rate on `err_frac` and the queue
+/// saturation threshold on `mean_queue_depth`.
+fn window_rules(cfg: &ServeAlertConfig) -> AlertEngine {
+    AlertEngine::new()
         .with_rule(AlertRule::BurnRate(
             BurnRateRule::new(SLO_BURN_RULE, "err_frac", cfg.slo_target, cfg.burn_factor)
                 .windows(cfg.short_windows, cfg.long_windows)
@@ -150,10 +143,23 @@ pub fn alert_timeline(report: &ServingReport, cfg: &ServeAlertConfig) -> AlertTi
             )
             .clear_samples(cfg.clear_windows),
         ))
-        .with_rule(AlertRule::Threshold(
-            ThresholdRule::above(DOWNTIME_RULE, "downtime_ns", 0.0)
-                .clear_samples(cfg.clear_windows),
-        ));
+}
+
+/// Evaluate a serving report's telemetry windows through the
+/// deterministic alert engine and return the resulting timeline.
+///
+/// Each [`WindowStats`] is observed at its
+/// `end_ns` with three signals — the window's SLO error fraction, its
+/// time-weighted mean aggregate queue depth, and its replica downtime —
+/// and every recorded [`HealthEvent`](crate::sim::HealthEvent) is placed
+/// on the same timeline as an annotation (`health.trip`, `health.recal`,
+/// …, carrying the replica id as the value). Because the evaluation runs
+/// over the finished report on simulated time only, the timeline is
+/// bit-identical across runs, and producing it cannot change the report.
+pub fn alert_timeline(report: &ServingReport, cfg: &ServeAlertConfig) -> AlertTimeline {
+    let mut engine = window_rules(cfg).with_rule(AlertRule::Threshold(
+        ThresholdRule::above(DOWNTIME_RULE, "downtime_ns", 0.0).clear_samples(cfg.clear_windows),
+    ));
     for w in &report.windows {
         engine.observe(
             w.end_ns,
@@ -189,20 +195,7 @@ pub fn shard_alert_timeline(
     cfg: &ServeAlertConfig,
     autoscale: Option<&AutoscaleSpec>,
 ) -> AlertTimeline {
-    let mut engine = AlertEngine::new()
-        .with_rule(AlertRule::BurnRate(
-            BurnRateRule::new(SLO_BURN_RULE, "err_frac", cfg.slo_target, cfg.burn_factor)
-                .windows(cfg.short_windows, cfg.long_windows)
-                .clear_samples(cfg.clear_windows),
-        ))
-        .with_rule(AlertRule::Threshold(
-            ThresholdRule::above(
-                QUEUE_SATURATION_RULE,
-                "mean_queue_depth",
-                cfg.queue_depth_limit,
-            )
-            .clear_samples(cfg.clear_windows),
-        ));
+    let mut engine = window_rules(cfg);
     if let Some(spec) = autoscale {
         for rule in autoscale_rules(spec) {
             engine.add_rule(rule);

@@ -17,9 +17,9 @@ use serde::{Deserialize, Serialize};
 /// `factor`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct BurstSpec {
-    /// Burst cycle length [ns].
+    /// Burst cycle length \[ns\].
     pub period_ns: u64,
-    /// Burst duration at the start of each cycle [ns] (≤ `period_ns`).
+    /// Burst duration at the start of each cycle \[ns\] (≤ `period_ns`).
     pub burst_ns: u64,
     /// Rate multiplier during the burst (> 0).
     pub factor: f64,
@@ -31,9 +31,9 @@ pub struct BurstSpec {
 /// drift that triggers online strategy swap in the sharded runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RampSpec {
-    /// Drift onset [ns].
+    /// Drift onset \[ns\].
     pub start_ns: u64,
-    /// Instant the ramp completes [ns] (> `start_ns`).
+    /// Instant the ramp completes \[ns\] (> `start_ns`).
     pub end_ns: u64,
     /// Final rate multiplier (> 0).
     pub to_factor: f64,
@@ -70,7 +70,8 @@ pub struct TenantSpec {
     pub burst: Option<BurstSpec>,
     /// Fair-share weight for deficit-round-robin scheduling (≥ 1). Under
     /// contention a tenant's attained service is proportional to its
-    /// weight; the FIFO runtime ignores it.
+    /// weight; the FIFO pick does not schedule by it, though its report's
+    /// fairness index still divides attained service by it.
     pub weight: u64,
     /// Optional linear rate drift (workload-mix change over the run).
     pub ramp: Option<RampSpec>,
@@ -139,7 +140,7 @@ pub struct Workload {
 /// One request arrival in the merged stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Arrival {
-    /// Arrival timestamp [ns].
+    /// Arrival timestamp \[ns\].
     pub time_ns: u64,
     /// Index into the tenant slice.
     pub tenant: usize,

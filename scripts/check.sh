@@ -21,8 +21,10 @@ cargo bench -p autohet-bench --bench serve_scale -- --test >/dev/null
 cargo fmt --check
 # --all-targets lints tests, examples, and benches too, not just lib code.
 cargo clippy --workspace --all-targets -- -D warnings
-# The observability crate's docs are part of its API contract.
+# The observability and serving crates' docs are part of their API
+# contracts.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p autohet-obs
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p autohet-serve
 
 # Observability smoke: the full dump pipeline must run end to end and
 # emit every artifact (CI uploads target/obs_smoke for inspection).
