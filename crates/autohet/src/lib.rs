@@ -97,12 +97,11 @@ pub mod prelude {
         NoisyEvalReport, RecoveryPolicy, RepairPolicy, RobustnessReport,
     };
     pub use autohet_serve::{
-        alert_timeline, jain_index, publish_shard_report, run_serving, run_sharded,
-        run_sharded_reference, run_sharded_threaded, shard_alert_timeline, shard_window_series,
-        AutoscaleSpec, BurstSpec, Deployment, FailureSpec, HealthEvent, HealthEventKind,
-        HealthSpec, LatencyHistogram, RampSpec, ScaleEvent, SelectMode, ServeAlertConfig,
-        ServeConfig, ServingReport, ShardConfig, ShardServingReport, StealSpec, SwapEvent,
-        SwapSpec, TenantSpec, TenantStats, Workload,
+        alert_timeline, jain_index, run_serving, run_sharded, run_sharded_threaded, AutoscaleSpec,
+        BurstSpec, Deployment, FailureSpec, HealthEvent, HealthEventKind, HealthSpec,
+        LatencyHistogram, RampSpec, ScaleEvent, SelectMode, ServeAlertConfig, ServeConfig,
+        ServingReport, ShardConfig, ShardServingReport, StealSpec, SwapEvent, SwapSpec, TenantSpec,
+        TenantStats, Workload,
     };
     pub use autohet_xbar::fault::{FaultMap, FaultRates};
     pub use autohet_xbar::geometry::{

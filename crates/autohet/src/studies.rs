@@ -288,7 +288,7 @@ pub fn serving_study(model: &Model, load: f64, seed: u64) -> Vec<ServingStudyRow
             let label = d.name.clone();
             let tenant = TenantSpec::new(&label, d, rate, slo_ns);
             let r = run_serving(&[tenant], &wl, &cfg);
-            let alerts = autohet_serve::alert_timeline(&r, &Default::default());
+            let alerts = autohet_serve::alert_timeline(&r, &Default::default(), None);
             let t = &r.tenants[0];
             ServingStudyRow {
                 label,

@@ -76,9 +76,18 @@
 //! [`run_serving`] is the same scheduler at one shard with the FIFO pick
 //! and the failure and health couplings, its epochs doubling as the
 //! telemetry windows. The heap-mode scheduler, the linear-scan reference
-//! ([`run_sharded_reference`]), and the epoch-parallel driver
+//! ([`SelectMode::LinearScan`]), and the epoch-parallel driver
 //! ([`run_sharded_threaded`]) are bit-identical; see [`shard`] for the
 //! architecture and determinism argument.
+//!
+//! ## One report
+//!
+//! Every entry point returns a [`ServingReport`]: per-tenant
+//! [`TenantStats`], per-window [`WindowStats`] and per-shard
+//! [`ShardStats`], with the health, scale, steal and swap events of the
+//! couplings the run used (the others stay zero or empty). The
+//! [`telemetry`] bridges take it whichever pick rule produced it:
+//! [`window_series`], [`publish_report`] and [`alert_timeline`].
 
 pub mod deploy;
 pub mod drr;
@@ -98,15 +107,11 @@ pub use parallel::run_sharded_threaded;
 pub use ready::{ReplicaPool, StampedHeap};
 pub use report::{jain_index, LatencyHistogram, ServingReport, TenantStats, WindowStats};
 pub use shard::{
-    run_sharded, run_sharded_reference, AutoscaleSpec, EpochSignal, ScaleEvent, SelectMode,
-    ShardConfig, ShardServingReport, ShardStats, ShardTenantStats, StealEvent, StealSpec,
-    SwapEvent, SwapSpec,
+    run_sharded, AutoscaleSpec, EpochSignal, ScaleEvent, SelectMode, ShardConfig,
+    ShardServingReport, ShardStats, StealEvent, StealSpec, SwapEvent, SwapSpec,
 };
 pub use sim::{run_serving, HealthEvent, HealthEventKind, HealthSpec, ServeConfig};
-pub use telemetry::{
-    alert_timeline, publish_report, publish_shard_report, shard_alert_timeline,
-    shard_window_series, window_series, ServeAlertConfig,
-};
+pub use telemetry::{alert_timeline, publish_report, window_series, ServeAlertConfig};
 pub use workload::{
     merge_arrivals, tenant_arrivals, Arrival, BurstSpec, RampSpec, TenantSpec, Workload,
 };

@@ -3,7 +3,8 @@
 //! one shard, so parallelism lives only here, where shards are
 //! independent between barriers.
 
-use crate::shard::{ShardConfig, ShardServingReport, ShardedSim};
+use crate::report::ServingReport;
+use crate::shard::{ShardConfig, ShardedSim};
 use crate::workload::{TenantSpec, Workload};
 
 /// Epoch-parallel driver for the sharded runtime: between barriers each
@@ -19,7 +20,7 @@ pub fn run_sharded_threaded(
     wl: &Workload,
     cfg: &ShardConfig,
     threads: usize,
-) -> ShardServingReport {
+) -> ServingReport {
     let _span = autohet_obs::trace::span("serve.run_sharded_threaded");
     let chunk = cfg.shards.div_ceil(threads.max(1));
     let mut sim = ShardedSim::new(tenants, wl, cfg);
@@ -35,5 +36,5 @@ pub fn run_sharded_threaded(
         })
         .expect("shard worker panicked");
     });
-    sim.finish()
+    sim.finish(true)
 }

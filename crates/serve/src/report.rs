@@ -1,9 +1,10 @@
 //! Serving observability types: the log₂ latency histogram, per-tenant
-//! latency/SLO/energy statistics, per-window telemetry, and the
-//! [`ServingReport`] of the global-FIFO front. The scheduler in
-//! [`shard`](crate::shard) fills them from its streaming accounting;
-//! its sharded-runtime report shares [`WindowStats`] and the histogram.
+//! latency/SLO/energy statistics, per-window telemetry, and the one
+//! [`ServingReport`] every serving run returns. The scheduler in
+//! [`shard`](crate::shard) fills them from its streaming accounting,
+//! under either pick rule.
 
+use crate::shard::{EpochSignal, ScaleEvent, ShardStats, StealEvent, SwapEvent};
 use crate::sim::HealthEvent;
 use serde::{Deserialize, Serialize};
 
@@ -92,7 +93,9 @@ pub struct TenantStats {
     pub killed_batches: u64,
     /// Batches dispatched for this tenant (completed ones only).
     pub batches: u64,
-    /// Nearest-rank latency percentiles over completed requests \[ns\].
+    /// Latency percentiles over completed requests \[ns\]: exact
+    /// nearest-rank under the FIFO pick, the log₂ histogram's bin upper
+    /// bounds under DRR.
     pub p50_ns: u64,
     /// 95th percentile latency \[ns\].
     pub p95_ns: u64,
@@ -116,15 +119,21 @@ pub struct TenantStats {
     pub peak_queue_depth: u64,
     /// Time-weighted mean waiting-queue depth over the run.
     pub mean_queue_depth: f64,
-    /// Fair-share weight from the spec (at least 1). The FIFO pick does
-    /// not schedule by it, but the fairness indices divide attained
-    /// service by it.
+    /// Fair-share weight from the spec (at least 1). DRR schedules by
+    /// it; the FIFO pick does not, but the fairness indices divide
+    /// attained service by it under both.
     #[serde(default)]
     pub weight: u64,
     /// Busy replica-time this tenant's completed batches consumed \[ns\]
     /// — the "attained service" the fairness index is computed over.
     #[serde(default)]
     pub attained_service_ns: u64,
+    /// Shard owning the tenant at the end of the run.
+    #[serde(default)]
+    pub shard: usize,
+    /// Whether the tenant ended the run on its alternative strategy.
+    #[serde(default)]
+    pub swapped: bool,
     /// Log₂-binned latency distribution.
     pub histogram: LatencyHistogram,
 }
@@ -177,7 +186,11 @@ pub struct WindowStats {
     pub histogram: LatencyHistogram,
 }
 
-/// Aggregate outcome of one serving simulation.
+/// Aggregate outcome of one serving simulation, under either pick rule.
+/// Couplings a run did not use leave their fields zero or empty: the
+/// sharded runtime has no failures or health monitor, and the FIFO front
+/// neither steals, scales nor swaps. The scheduler drivers (linear-scan
+/// reference, heap mode, epoch-parallel) produce bit-identical values.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServingReport {
     /// Workload master seed.
@@ -186,12 +199,27 @@ pub struct ServingReport {
     pub horizon_ns: u64,
     /// Virtual time at which the last batch completed (≥ horizon).
     pub makespan_ns: u64,
-    /// Replicas simulated.
+    /// Shard-local schedulers.
+    #[serde(default)]
+    pub shards: usize,
+    /// Epoch barriers per horizon.
+    #[serde(default)]
+    pub epochs: usize,
+    /// Replicas the run started with, over all shards.
     pub replicas: usize,
+    /// Active replicas at the end of the run.
+    #[serde(default)]
+    pub replicas_final: usize,
+    /// Peak concurrently-active replicas (autoscaling high-water mark).
+    #[serde(default)]
+    pub replicas_peak: usize,
     /// Total batches dispatched.
     pub batches: u64,
     /// Mean requests per dispatched batch.
     pub mean_batch_size: f64,
+    /// Arrivals across all tenants (admitted + shed).
+    #[serde(default)]
+    pub total_submitted: u64,
     /// Completed requests across all tenants.
     pub total_completed: u64,
     /// Shed requests across all tenants.
@@ -203,7 +231,9 @@ pub struct ServingReport {
     /// Drift-errored completions across all tenants.
     #[serde(default)]
     pub total_errored: u64,
-    /// Per-replica downtime within `[0, makespan_ns)` \[ns\].
+    /// Per-replica downtime within `[0, makespan_ns)` \[ns\]. This and
+    /// the other per-replica vectors hold one entry per initial replica,
+    /// shard-major.
     pub replica_downtime_ns: Vec<u64>,
     /// Per-replica circuit-breaker trips (health monitoring).
     #[serde(default)]
@@ -227,19 +257,43 @@ pub struct ServingReport {
     pub fairness_index: f64,
     /// Per-tenant breakdown, in tenant declaration order.
     pub tenants: Vec<TenantStats>,
-    /// Per-window telemetry; empty unless `telemetry_windows > 0` was
-    /// configured.
+    /// Per-shard summary, in shard order.
+    #[serde(default)]
+    pub shard_stats: Vec<ShardStats>,
+    /// Per-window telemetry, one window per epoch; empty when the FIFO
+    /// front runs with `telemetry_windows == 0`.
     #[serde(default)]
     pub windows: Vec<WindowStats>,
+    /// The autoscaler's per-epoch input signals (recorded even when
+    /// autoscaling is off — they are the epoch telemetry); dropped with
+    /// the windows.
+    #[serde(default)]
+    pub epoch_signals: Vec<EpochSignal>,
     /// Timestamped replica-health transitions (trips, recals, remaps,
     /// failed recoveries) in recurrence order — the raw material of the
     /// alert timeline. Empty without a
     /// [`HealthSpec`](crate::sim::HealthSpec).
     #[serde(default)]
     pub health_events: Vec<HealthEvent>,
+    /// Autoscaling actions, in barrier order.
+    #[serde(default)]
+    pub scale_events: Vec<ScaleEvent>,
+    /// Whole-tenant migrations between shards, in barrier order.
+    #[serde(default)]
+    pub steal_events: Vec<StealEvent>,
+    /// Online strategy swaps, in barrier order.
+    #[serde(default)]
+    pub swap_events: Vec<SwapEvent>,
 }
 
 impl ServingReport {
+    /// Requests neither completed, rejected nor failed — 0 after a full
+    /// drain; the zero-lost-requests guarantee the swap and failure
+    /// tests pin down.
+    pub fn lost_requests(&self) -> u64 {
+        self.total_submitted - self.total_completed - self.total_rejected - self.total_failed
+    }
+
     /// Fraction of completed requests whose results were clean (not
     /// drift-errored); 1.0 when nothing completed. The serving factor of
     /// the lifetime campaign's accuracy axis.

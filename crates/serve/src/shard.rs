@@ -24,6 +24,11 @@
 //!   batches an outage interrupts, and every completed batch passes the
 //!   drift health monitor.
 //!
+//! Both pick rules end in the one [`ServingReport`], assembled from the
+//! same streaming accounting; the pick rule chooses only its latency
+//! percentiles (exact nearest-rank under FIFO, log₂-histogram quantiles
+//! under DRR).
+//!
 //! The simulated horizon is cut into `epochs` equal windows. *Within* an
 //! epoch shards are fully independent — that is what makes the
 //! epoch-parallel driver embarrassingly parallel — and every coupling
@@ -301,38 +306,6 @@ pub struct EpochSignal {
     pub backlog: u64,
 }
 
-/// Per-tenant results of a sharded run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ShardTenantStats {
-    pub name: String,
-    /// DRR fair-share weight.
-    pub weight: u64,
-    /// Shard owning the tenant at the end of the run.
-    pub shard: usize,
-    pub submitted: u64,
-    pub completed: u64,
-    pub rejected: u64,
-    pub batches: u64,
-    /// Latency quantiles from the tenant's log₂ histogram \[ns\].
-    pub p50_ns: u64,
-    pub p95_ns: u64,
-    pub p99_ns: u64,
-    pub max_ns: u64,
-    pub mean_ns: f64,
-    pub slo_ns: u64,
-    pub slo_attainment: f64,
-    pub throughput_rps: f64,
-    pub energy_nj: f64,
-    /// Busy replica-time this tenant's batches consumed \[ns\] — the
-    /// "attained service" the fairness index is computed over.
-    pub attained_service_ns: u64,
-    pub peak_queue_depth: u64,
-    pub mean_queue_depth: f64,
-    /// Whether the tenant ended the run on its alternative strategy.
-    pub swapped: bool,
-    pub histogram: LatencyHistogram,
-}
-
 /// Per-shard summary of a sharded run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardStats {
@@ -349,48 +322,10 @@ pub struct ShardStats {
     pub makespan_ns: u64,
 }
 
-/// Results of a sharded serving run. The three drivers (linear-scan
-/// reference, heap mode, epoch-parallel) produce bit-identical values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ShardServingReport {
-    pub seed: u64,
-    pub horizon_ns: u64,
-    pub makespan_ns: u64,
-    pub shards: usize,
-    pub epochs: usize,
-    pub replicas_initial: usize,
-    pub replicas_final: usize,
-    /// Peak concurrently-active replicas (autoscaling high-water mark).
-    pub replicas_peak: usize,
-    pub batches: u64,
-    pub mean_batch_size: f64,
-    pub total_submitted: u64,
-    pub total_completed: u64,
-    pub total_rejected: u64,
-    pub total_energy_nj: f64,
-    pub aggregate_throughput_rps: f64,
-    /// Jain's fairness index over per-tenant attained service per unit
-    /// weight (1.0 = perfectly weight-proportional).
-    pub fairness_index: f64,
-    pub tenants: Vec<ShardTenantStats>,
-    pub shard_stats: Vec<ShardStats>,
-    /// One window per epoch, on the epoch grid.
-    pub windows: Vec<WindowStats>,
-    /// The autoscaler's per-epoch input signals (recorded even when
-    /// autoscaling is off — they are the epoch telemetry).
-    pub epoch_signals: Vec<EpochSignal>,
-    pub scale_events: Vec<ScaleEvent>,
-    pub steal_events: Vec<StealEvent>,
-    pub swap_events: Vec<SwapEvent>,
-}
-
-impl ShardServingReport {
-    /// Requests neither completed nor rejected — 0 after a full drain;
-    /// the zero-lost-requests guarantee the swap tests pin down.
-    pub fn lost_requests(&self) -> u64 {
-        self.total_submitted - self.total_completed - self.total_rejected
-    }
-}
+/// The name the benchmark (`perfbench/`) gives the sharded runtime's
+/// report, which is the one [`ServingReport`]. Deleted with the next
+/// change to the benchmark.
+pub type ShardServingReport = ServingReport;
 
 /// The epoch/window grid: `n` windows of `len` ns, the last one
 /// absorbing the remainder and the drain tail.
@@ -1597,48 +1532,78 @@ impl<'a> ShardedSim<'a> {
             .collect()
     }
 
-    /// Assemble the sharded-runtime report (consumes the sim).
-    pub(crate) fn finish(mut self) -> ShardServingReport {
+    /// Assemble the run's report (consumes the sim), with the telemetry
+    /// windows and epoch signals when `keep_windows`. The pick rule
+    /// chooses the latency percentiles: exact nearest-rank under FIFO,
+    /// histogram quantiles under DRR.
+    pub(crate) fn finish(mut self, keep_windows: bool) -> ServingReport {
         let makespan = self.makespan();
-        let (states, owners) = self.take_tenants();
-        let tenants: Vec<ShardTenantStats> = states
-            .iter()
-            .map(|t| ShardTenantStats {
-                name: self.specs[t.gid].name.clone(),
-                weight: t.weight,
-                shard: owners[t.gid],
-                submitted: t.submitted,
-                completed: t.completed,
-                rejected: t.rejected,
-                batches: t.batches,
-                p50_ns: t.hist.quantile(0.50),
-                p95_ns: t.hist.quantile(0.95),
-                p99_ns: t.hist.quantile(0.99),
-                max_ns: t.max_lat,
-                mean_ns: t.mean_ns(),
-                slo_ns: t.slo_ns,
-                slo_attainment: t.slo_attainment(),
-                throughput_rps: Self::per_s(t.completed, makespan),
-                energy_nj: t.energy_nj,
-                attained_service_ns: t.attained_ns,
-                peak_queue_depth: t.peak_depth as u64,
-                mean_queue_depth: t.mean_depth(makespan),
-                swapped: t.swapped,
-                histogram: t.hist.clone(),
+        let (mut states, owners) = self.take_tenants();
+        let (windows, epoch_signals) = if keep_windows {
+            (self.windows(&states, makespan), self.epoch_signals)
+        } else {
+            (Vec::new(), Vec::new())
+        };
+        let exact = self.shards[0].pick == Pick::Fifo;
+        let tenants: Vec<TenantStats> = states
+            .iter_mut()
+            .map(|t| {
+                let lat = &mut t.latencies;
+                lat.sort_unstable();
+                let pct = |q| {
+                    if exact {
+                        percentile(lat, q)
+                    } else {
+                        t.hist.quantile(q)
+                    }
+                };
+                TenantStats {
+                    name: self.specs[t.gid].name.clone(),
+                    submitted: t.submitted,
+                    completed: t.completed,
+                    rejected: t.rejected,
+                    failed: t.failed,
+                    retried: t.retried,
+                    degraded_completed: t.degraded,
+                    errored: t.errored,
+                    killed_batches: t.killed_batches,
+                    batches: t.batches,
+                    p50_ns: pct(0.50),
+                    p95_ns: pct(0.95),
+                    p99_ns: pct(0.99),
+                    max_ns: t.max_lat,
+                    mean_ns: t.mean_ns(),
+                    slo_ns: t.slo_ns,
+                    slo_attainment: t.slo_attainment(),
+                    throughput_rps: Self::per_s(t.completed, makespan),
+                    energy_nj: t.energy_nj,
+                    peak_queue_depth: t.peak_depth as u64,
+                    mean_queue_depth: t.mean_depth(makespan),
+                    weight: t.weight,
+                    attained_service_ns: t.attained_ns,
+                    shard: owners[t.gid],
+                    swapped: t.swapped,
+                    histogram: t.hist.clone(),
+                }
             })
             .collect();
-        let windows = self.windows(&states, makespan);
-        let total_submitted: u64 = tenants.iter().map(|t| t.submitted).sum();
-        let total_completed: u64 = tenants.iter().map(|t| t.completed).sum();
-        let total_rejected: u64 = tenants.iter().map(|t| t.rejected).sum();
-        let batches: u64 = tenants.iter().map(|t| t.batches).sum();
-        ShardServingReport {
+        let total = |f: fn(&TenantStats) -> u64| tenants.iter().map(f).sum::<u64>();
+        let (batches, total_completed) = (total(|t| t.batches), total(|t| t.completed));
+        let replicas = self.cfg.replicas_per_shard;
+        let per_replica = |f: &dyn Fn(&Shard, usize) -> u64| -> Vec<u64> {
+            let shards = self.shards.iter();
+            shards
+                .flat_map(|s| (0..replicas).map(move |r| f(s, r)))
+                .collect()
+        };
+        let health = |f: fn(&ReplicaHealth) -> u64| per_replica(&|s, r| f(&s.health[r]));
+        ServingReport {
             seed: self.wl.seed,
             horizon_ns: self.wl.horizon_ns,
             makespan_ns: makespan,
             shards: self.cfg.shards,
             epochs: self.cfg.epochs,
-            replicas_initial: self.cfg.shards * self.cfg.replicas_per_shard,
+            replicas: self.cfg.shards * replicas,
             replicas_final: self.total_active,
             replicas_peak: self.peak_active,
             batches,
@@ -1647,9 +1612,19 @@ impl<'a> ShardedSim<'a> {
             } else {
                 total_completed as f64 / batches as f64
             },
-            total_submitted,
+            total_submitted: total(|t| t.submitted),
             total_completed,
-            total_rejected,
+            total_rejected: total(|t| t.rejected),
+            total_failed: total(|t| t.failed),
+            total_retried: total(|t| t.retried),
+            total_errored: total(|t| t.errored),
+            replica_downtime_ns: per_replica(&|s, r| {
+                s.plan.as_ref().map_or(0, |p| p.downtime_ns(r, makespan))
+            }),
+            replica_trips: health(|h| h.trips),
+            replica_recals: health(|h| h.recals),
+            replica_remaps: health(|h| h.remaps),
+            replica_recovery_ns: health(|h| h.recovery_ns),
             total_energy_nj: tenants.iter().map(|t| t.energy_nj).sum(),
             aggregate_throughput_rps: Self::per_s(total_completed, makespan),
             fairness_index: Self::fairness(&states),
@@ -1669,95 +1644,15 @@ impl<'a> ShardedSim<'a> {
                 })
                 .collect(),
             windows,
-            epoch_signals: self.epoch_signals,
+            epoch_signals,
+            health_events: self
+                .shards
+                .iter_mut()
+                .flat_map(|s| std::mem::take(&mut s.health_events))
+                .collect(),
             scale_events: self.scale_events,
             steal_events: self.steal_events,
             swap_events: self.swap_events,
-        }
-    }
-
-    /// Assemble the global-FIFO front's report (consumes the sim): exact
-    /// nearest-rank latency percentiles, failure and health accounting,
-    /// and the telemetry windows when `keep_windows`.
-    pub(crate) fn finish_serving(mut self, keep_windows: bool) -> ServingReport {
-        let makespan = self.makespan();
-        let (mut states, _) = self.take_tenants();
-        let windows = if keep_windows {
-            self.windows(&states, makespan)
-        } else {
-            Vec::new()
-        };
-        let tenants: Vec<TenantStats> = states
-            .iter_mut()
-            .map(|t| {
-                let lat = &mut t.latencies;
-                lat.sort_unstable();
-                TenantStats {
-                    name: self.specs[t.gid].name.clone(),
-                    submitted: t.submitted,
-                    completed: t.completed,
-                    rejected: t.rejected,
-                    failed: t.failed,
-                    retried: t.retried,
-                    degraded_completed: t.degraded,
-                    errored: t.errored,
-                    killed_batches: t.killed_batches,
-                    batches: t.batches,
-                    p50_ns: percentile(lat, 0.50),
-                    p95_ns: percentile(lat, 0.95),
-                    p99_ns: percentile(lat, 0.99),
-                    max_ns: t.max_lat,
-                    mean_ns: t.mean_ns(),
-                    slo_ns: t.slo_ns,
-                    slo_attainment: t.slo_attainment(),
-                    throughput_rps: Self::per_s(t.completed, makespan),
-                    energy_nj: t.energy_nj,
-                    peak_queue_depth: t.peak_depth as u64,
-                    mean_queue_depth: t.mean_depth(makespan),
-                    weight: t.weight,
-                    attained_service_ns: t.attained_ns,
-                    histogram: t.hist.clone(),
-                }
-            })
-            .collect();
-        let total = |f: fn(&TenantStats) -> u64| tenants.iter().map(f).sum::<u64>();
-        let (batches, total_completed) = (total(|t| t.batches), total(|t| t.completed));
-        let replicas = self.cfg.replicas_per_shard;
-        let shard = &mut self.shards[0];
-        let plan = shard
-            .plan
-            .as_ref()
-            .expect("FIFO shard without an outage plan");
-        let health = |f: fn(&ReplicaHealth) -> u64| shard.health.iter().map(f).collect();
-        ServingReport {
-            seed: self.wl.seed,
-            horizon_ns: self.wl.horizon_ns,
-            makespan_ns: makespan,
-            replicas,
-            batches,
-            mean_batch_size: if batches == 0 {
-                0.0
-            } else {
-                total_completed as f64 / batches as f64
-            },
-            total_completed,
-            total_rejected: total(|t| t.rejected),
-            total_failed: total(|t| t.failed),
-            total_retried: total(|t| t.retried),
-            total_errored: total(|t| t.errored),
-            replica_downtime_ns: (0..replicas)
-                .map(|r| plan.downtime_ns(r, makespan))
-                .collect(),
-            replica_trips: health(|h| h.trips),
-            replica_recals: health(|h| h.recals),
-            replica_remaps: health(|h| h.remaps),
-            replica_recovery_ns: health(|h| h.recovery_ns),
-            total_energy_nj: tenants.iter().map(|t| t.energy_nj).sum(),
-            aggregate_throughput_rps: Self::per_s(total_completed, makespan),
-            fairness_index: Self::fairness(&states),
-            tenants,
-            windows,
-            health_events: std::mem::take(&mut shard.health_events),
         }
     }
 }
@@ -1767,29 +1662,11 @@ impl<'a> ShardedSim<'a> {
 /// then drain. The epoch-parallel driver in [`crate::parallel`] replays
 /// exactly this schedule with shards stepped concurrently between
 /// barriers.
-pub fn run_sharded(tenants: &[TenantSpec], wl: &Workload, cfg: &ShardConfig) -> ShardServingReport {
+pub fn run_sharded(tenants: &[TenantSpec], wl: &Workload, cfg: &ShardConfig) -> ServingReport {
     let _span = autohet_obs::trace::span("serve.run_sharded");
     let mut sim = ShardedSim::new(tenants, wl, cfg);
     sim.run();
-    sim.finish()
-}
-
-/// The linear-scan sequential reference: identical decisions through
-/// O(tenants)/O(replicas) scans — the baseline the bit-identity tests
-/// and the `BENCH_serve` speedup measure against.
-pub fn run_sharded_reference(
-    tenants: &[TenantSpec],
-    wl: &Workload,
-    cfg: &ShardConfig,
-) -> ShardServingReport {
-    run_sharded(
-        tenants,
-        wl,
-        &ShardConfig {
-            mode: SelectMode::LinearScan,
-            ..*cfg
-        },
-    )
+    sim.finish(true)
 }
 
 #[cfg(test)]
@@ -1832,6 +1709,13 @@ mod tests {
             .collect()
     }
 
+    fn scan_mode(cfg: ShardConfig) -> ShardConfig {
+        ShardConfig {
+            mode: SelectMode::LinearScan,
+            ..cfg
+        }
+    }
+
     #[test]
     fn heap_mode_is_bit_identical_to_the_linear_scan_reference() {
         let tenants = fleet(9);
@@ -1848,7 +1732,7 @@ mod tests {
                 ..ShardConfig::default()
             };
             let heap = run_sharded(&tenants, &wl, &cfg);
-            let scan = run_sharded_reference(&tenants, &wl, &cfg);
+            let scan = run_sharded(&tenants, &wl, &scan_mode(cfg));
             assert_eq!(heap, scan, "shards={shards}");
         }
     }
@@ -2028,10 +1912,10 @@ mod tests {
         let downs = r.scale_events.iter().filter(|e| !e.up).count();
         assert!(ups >= 1, "no scale-up under engineered burst");
         assert!(downs >= 1, "no drain after the burst passed");
-        assert!(r.replicas_peak > r.replicas_initial);
+        assert!(r.replicas_peak > r.replicas);
         assert_eq!(r.lost_requests(), 0);
         // Identical decisions in the reference mode.
-        let scan = run_sharded_reference(&tenants, &wl, &cfg);
+        let scan = run_sharded(&tenants, &wl, &scan_mode(cfg));
         assert_eq!(r, scan);
     }
 
@@ -2075,7 +1959,7 @@ mod tests {
         // The swap epoch comes after the drift onset.
         assert!(r.swap_events[0].t_ns > 20_000_000);
         // Bit-identical under the reference scheduler.
-        let scan = run_sharded_reference(&tenants, &wl, &cfg);
+        let scan = run_sharded(&tenants, &wl, &scan_mode(cfg));
         assert_eq!(r, scan);
     }
 

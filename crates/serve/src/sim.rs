@@ -377,7 +377,7 @@ pub(crate) fn serve_fifo(
         cfg.health,
     );
     sim.run();
-    sim.finish_serving(cfg.telemetry_windows > 0)
+    sim.finish(cfg.telemetry_windows > 0)
 }
 
 #[cfg(test)]
@@ -590,6 +590,7 @@ mod tests {
         // Retried-but-completed requests surface as degraded service.
         let degraded: u64 = r.tenants.iter().map(|s| s.degraded_completed).sum();
         assert!(degraded > 0);
+        assert_eq!(r.lost_requests(), 0);
     }
 
     #[test]

@@ -1,10 +1,12 @@
-//! Bridges from serving reports to the `autohet-obs` substrate:
-//! per-window telemetry as a [`Series`] table, run totals mirrored into
-//! a metrics [`Registry`], and the report's window stream evaluated
-//! through the deterministic alert engine ([`alert_timeline`]).
+//! Bridges from the serving report to the `autohet-obs` substrate, one
+//! function per job: per-window telemetry as a [`Series`] table
+//! ([`window_series`]), run totals mirrored into a metrics [`Registry`]
+//! ([`publish_report`]), and the report's window stream and events
+//! evaluated through the deterministic alert engine
+//! ([`alert_timeline`]). Each works on a report of either pick rule.
 
-use crate::report::{ServingReport, WindowStats};
-use crate::shard::{autoscale_rules, AutoscaleSpec, ShardServingReport};
+use crate::report::ServingReport;
+use crate::shard::{autoscale_rules, AutoscaleSpec};
 use autohet_obs::alert::{AlertEngine, AlertRule, AlertTimeline, BurnRateRule, ThresholdRule};
 use autohet_obs::{Registry, Series};
 
@@ -27,10 +29,12 @@ pub const WINDOW_COLUMNS: [(&str, &str); 14] = [
     ("fairness", ""),
 ];
 
-/// One row per [`WindowStats`], columns per [`WINDOW_COLUMNS`].
-fn windows_to_series(name: &str, windows: &[WindowStats]) -> Series {
-    let mut s = Series::new(name, &WINDOW_COLUMNS);
-    for w in windows {
+/// The report's per-window telemetry as a time-series table (one row per
+/// window, columns per [`WINDOW_COLUMNS`]). Empty when the run was
+/// configured without telemetry windows.
+pub fn window_series(report: &ServingReport) -> Series {
+    let mut s = Series::new("serving_windows", &WINDOW_COLUMNS);
+    for w in &report.windows {
         s.push(vec![
             w.index as f64,
             w.start_ns as f64,
@@ -51,33 +55,27 @@ fn windows_to_series(name: &str, windows: &[WindowStats]) -> Series {
     s
 }
 
-/// The report's per-window telemetry as a time-series table (one row per
-/// window, columns per [`WINDOW_COLUMNS`]). Empty when the run was
-/// configured without telemetry windows.
-pub fn window_series(report: &ServingReport) -> Series {
-    windows_to_series("serving_windows", &report.windows)
-}
-
-/// Per-window telemetry of a sharded run (one row per epoch), same
-/// schema as [`window_series`].
-pub fn shard_window_series(report: &ShardServingReport) -> Series {
-    windows_to_series("shard_serving_windows", &report.windows)
-}
-
 /// Mirror a serving run's totals into `registry` under `prefix`:
-/// counters for request accounting and batches, a gauge for replicas,
-/// and the merged latency distribution as a `{prefix}.latency_ns`
-/// histogram (same log₂ binning on both sides).
+/// counters for request accounting, batches and steal/scale/swap events,
+/// gauges for shards and final replicas, and the merged latency
+/// distribution as a `{prefix}.latency_ns` histogram (same log₂ binning
+/// on both sides).
 pub fn publish_report(report: &ServingReport, registry: &Registry, prefix: &str) {
     let c = |name: &str, v: u64| registry.counter(&format!("{prefix}.{name}")).add(v);
+    let scale = |up: bool| report.scale_events.iter().filter(|e| e.up == up).count() as u64;
+    c("submitted", report.total_submitted);
     c("completed", report.total_completed);
     c("rejected", report.total_rejected);
     c("failed", report.total_failed);
     c("retried", report.total_retried);
     c("batches", report.batches);
-    registry
-        .gauge(&format!("{prefix}.replicas"))
-        .set(report.replicas as i64);
+    c("steals", report.steal_events.len() as u64);
+    c("swaps", report.swap_events.len() as u64);
+    c("scale_ups", scale(true));
+    c("scale_downs", scale(false));
+    let g = |name: &str, v: usize| registry.gauge(&format!("{prefix}.{name}")).set(v as i64);
+    g("shards", report.shards);
+    g("replicas", report.replicas_final);
     registry
         .histogram(&format!("{prefix}.latency_ns"))
         .merge_bins(&report.overall_histogram().bins);
@@ -125,11 +123,32 @@ pub const QUEUE_SATURATION_RULE: &str = "serve.queue_saturation";
 /// See [`SLO_BURN_RULE`].
 pub const DOWNTIME_RULE: &str = "serve.downtime";
 
-/// An alert engine holding the rules both timelines evaluate over the
-/// telemetry windows: the SLO burn rate on `err_frac` and the queue
-/// saturation threshold on `mean_queue_depth`.
-fn window_rules(cfg: &ServeAlertConfig) -> AlertEngine {
-    AlertEngine::new()
+/// Evaluate a serving report through the deterministic alert engine and
+/// return the resulting timeline.
+///
+/// Each [`WindowStats`](crate::report::WindowStats) is observed at its
+/// `end_ns` with its SLO error fraction (the burn-rate rule), its
+/// time-weighted mean aggregate queue depth (the saturation rule) and its
+/// replica downtime (the downtime rule, which fires only on downtime
+/// above 0), together with the window's [`EpochSignal`]. With an
+/// `autoscale` spec the *exact* autoscaler rules replay over those
+/// signals — the runtime recorded its own inputs, so the replay's
+/// pending → firing → resolved transitions match what the autoscaler
+/// acted on, barrier for barrier. Every recorded event lands on the same
+/// timeline as an annotation: health transitions (`health.trip`,
+/// `health.recal`, …, valued by replica id), `scale.up`/`scale.down`
+/// (active replicas after), `steal` and `swap` (tenant id). Because the
+/// evaluation runs over the finished report on simulated time only, the
+/// timeline is bit-identical across runs, and producing it cannot change
+/// the report.
+///
+/// [`EpochSignal`]: crate::shard::EpochSignal
+pub fn alert_timeline(
+    report: &ServingReport,
+    cfg: &ServeAlertConfig,
+    autoscale: Option<&AutoscaleSpec>,
+) -> AlertTimeline {
+    let mut engine = AlertEngine::new()
         .with_rule(AlertRule::BurnRate(
             BurnRateRule::new(SLO_BURN_RULE, "err_frac", cfg.slo_target, cfg.burn_factor)
                 .windows(cfg.short_windows, cfg.long_windows)
@@ -143,74 +162,28 @@ fn window_rules(cfg: &ServeAlertConfig) -> AlertEngine {
             )
             .clear_samples(cfg.clear_windows),
         ))
-}
-
-/// Evaluate a serving report's telemetry windows through the
-/// deterministic alert engine and return the resulting timeline.
-///
-/// Each [`WindowStats`] is observed at its
-/// `end_ns` with three signals — the window's SLO error fraction, its
-/// time-weighted mean aggregate queue depth, and its replica downtime —
-/// and every recorded [`HealthEvent`](crate::sim::HealthEvent) is placed
-/// on the same timeline as an annotation (`health.trip`, `health.recal`,
-/// …, carrying the replica id as the value). Because the evaluation runs
-/// over the finished report on simulated time only, the timeline is
-/// bit-identical across runs, and producing it cannot change the report.
-pub fn alert_timeline(report: &ServingReport, cfg: &ServeAlertConfig) -> AlertTimeline {
-    let mut engine = window_rules(cfg).with_rule(AlertRule::Threshold(
-        ThresholdRule::above(DOWNTIME_RULE, "downtime_ns", 0.0).clear_samples(cfg.clear_windows),
-    ));
-    for w in &report.windows {
-        engine.observe(
-            w.end_ns,
-            &[
-                ("err_frac", 1.0 - w.slo_attainment),
-                ("mean_queue_depth", w.mean_queue_depth),
-                ("downtime_ns", w.downtime_ns as f64),
-            ],
-        );
+        .with_rule(AlertRule::Threshold(
+            ThresholdRule::above(DOWNTIME_RULE, "downtime_ns", 0.0)
+                .clear_samples(cfg.clear_windows),
+        ));
+    for rule in autoscale.map(autoscale_rules).unwrap_or_default() {
+        engine.add_rule(rule);
+    }
+    for (i, w) in report.windows.iter().enumerate() {
+        let mut signals = vec![
+            ("err_frac", 1.0 - w.slo_attainment),
+            ("mean_queue_depth", w.mean_queue_depth),
+            ("downtime_ns", w.downtime_ns as f64),
+        ];
+        if let Some(sig) = report.epoch_signals.get(i) {
+            signals.push(("epoch_queue_depth", sig.mean_queue_depth));
+            signals.push(("epoch_slo", sig.slo_attainment));
+        }
+        engine.observe(w.end_ns, &signals);
     }
     for e in &report.health_events {
-        engine.annotate(
-            e.t_ns,
-            &format!("health.{}", e.kind.label()),
-            e.replica as f64,
-        );
-    }
-    engine.finish()
-}
-
-/// Alert timeline of a sharded run: the [`alert_timeline`] SLO-burn and
-/// queue-saturation rules over the epoch windows, plus — when the run
-/// was autoscaled — the *exact* autoscaler rules replayed over the
-/// recorded [`EpochSignal`]s (the runtime recorded its own inputs, so
-/// the replay's pending → firing → resolved transitions match what the
-/// autoscaler acted on, barrier for barrier). Scaling, stealing, and
-/// swap events land on the same timeline as annotations (`scale.up`,
-/// `scale.down`, `steal`, `swap`).
-///
-/// [`EpochSignal`]: crate::shard::EpochSignal
-pub fn shard_alert_timeline(
-    report: &ShardServingReport,
-    cfg: &ServeAlertConfig,
-    autoscale: Option<&AutoscaleSpec>,
-) -> AlertTimeline {
-    let mut engine = window_rules(cfg);
-    if let Some(spec) = autoscale {
-        for rule in autoscale_rules(spec) {
-            engine.add_rule(rule);
-        }
-    }
-    for (w, sig) in report.windows.iter().zip(&report.epoch_signals) {
-        engine.observe(
-            w.end_ns,
-            &[
-                ("err_frac", 1.0 - w.slo_attainment),
-                ("mean_queue_depth", w.mean_queue_depth),
-                ("epoch_queue_depth", sig.mean_queue_depth),
-                ("epoch_slo", sig.slo_attainment),
-            ],
-        );
+        let label = format!("health.{}", e.kind.label());
+        engine.annotate(e.t_ns, &label, e.replica as f64);
     }
     for e in &report.scale_events {
         let label = if e.up { "scale.up" } else { "scale.down" };
@@ -223,40 +196,6 @@ pub fn shard_alert_timeline(
         engine.annotate(e.t_ns, "swap", e.tenant as f64);
     }
     engine.finish()
-}
-
-/// Mirror a sharded run's totals into `registry` under `prefix`:
-/// request/batch counters, steal/scale/swap event counters, replica
-/// gauges, and the merged latency histogram.
-pub fn publish_shard_report(report: &ShardServingReport, registry: &Registry, prefix: &str) {
-    let c = |name: &str, v: u64| registry.counter(&format!("{prefix}.{name}")).add(v);
-    c("submitted", report.total_submitted);
-    c("completed", report.total_completed);
-    c("rejected", report.total_rejected);
-    c("batches", report.batches);
-    c("steals", report.steal_events.len() as u64);
-    c("swaps", report.swap_events.len() as u64);
-    c(
-        "scale_ups",
-        report.scale_events.iter().filter(|e| e.up).count() as u64,
-    );
-    c(
-        "scale_downs",
-        report.scale_events.iter().filter(|e| !e.up).count() as u64,
-    );
-    registry
-        .gauge(&format!("{prefix}.shards"))
-        .set(report.shards as i64);
-    registry
-        .gauge(&format!("{prefix}.replicas"))
-        .set(report.replicas_final as i64);
-    let mut hist = crate::report::LatencyHistogram::new();
-    for t in &report.tenants {
-        hist.merge(&t.histogram);
-    }
-    registry
-        .histogram(&format!("{prefix}.latency_ns"))
-        .merge_bins(&hist.bins);
 }
 
 #[cfg(test)]
@@ -350,6 +289,7 @@ mod tests {
         assert_eq!(reg.counter("serve.completed").get(), r.total_completed);
         assert_eq!(reg.counter("serve.batches").get(), r.batches);
         assert_eq!(reg.gauge("serve.replicas").get(), r.replicas as i64);
+        assert_eq!(reg.counter("serve.submitted").get(), r.total_submitted);
         let h = reg.histogram("serve.latency_ns");
         assert_eq!(h.count(), r.total_completed);
         assert_eq!(h.bins(), r.overall_histogram().bins);
@@ -362,9 +302,14 @@ mod tests {
             seed: 0,
             horizon_ns: windows.len() as u64 * 1_000,
             makespan_ns: windows.len() as u64 * 1_000,
+            shards: 1,
+            epochs: windows.len(),
             replicas: 1,
+            replicas_final: 1,
+            replicas_peak: 1,
             batches: 0,
             mean_batch_size: 0.0,
+            total_submitted: 0,
             total_completed: 0,
             total_rejected: 0,
             total_failed: 0,
@@ -379,8 +324,13 @@ mod tests {
             aggregate_throughput_rps: 0.0,
             fairness_index: 1.0,
             tenants: Vec::new(),
+            shard_stats: Vec::new(),
             windows,
+            epoch_signals: Vec::new(),
             health_events: Vec::new(),
+            scale_events: Vec::new(),
+            steal_events: Vec::new(),
+            swap_events: Vec::new(),
         }
     }
 
@@ -415,7 +365,11 @@ mod tests {
         for i in 6..10 {
             windows.push(win(i, 1.0, 1.0));
         }
-        let t = alert_timeline(&synthetic_report(windows), &ServeAlertConfig::default());
+        let t = alert_timeline(
+            &synthetic_report(windows),
+            &ServeAlertConfig::default(),
+            None,
+        );
         let slo = t.for_rule(SLO_BURN_RULE);
         let kinds: Vec<&str> = slo.iter().map(|e| e.kind.label()).collect();
         assert_eq!(kinds, ["firing", "resolved"]);
@@ -436,7 +390,11 @@ mod tests {
             win(3, 1.0, 1.0),
             win(4, 1.0, 1.0),
         ];
-        let t = alert_timeline(&synthetic_report(windows), &ServeAlertConfig::default());
+        let t = alert_timeline(
+            &synthetic_report(windows),
+            &ServeAlertConfig::default(),
+            None,
+        );
         let sat = t.for_rule(QUEUE_SATURATION_RULE);
         let kinds: Vec<&str> = sat.iter().map(|e| e.kind.label()).collect();
         assert_eq!(kinds, ["firing", "resolved"]);
@@ -461,7 +419,7 @@ mod tests {
                 kind: HealthEventKind::Recal,
             },
         ];
-        let t = alert_timeline(&r, &ServeAlertConfig::default());
+        let t = alert_timeline(&r, &ServeAlertConfig::default(), None);
         let trips = t.for_rule("health.trip");
         assert_eq!(trips.len(), 1);
         assert_eq!(trips[0].t_ns, 400);
@@ -499,8 +457,8 @@ mod tests {
             !single.health_events.is_empty(),
             "drift config too tame to produce health events"
         );
-        let t1 = alert_timeline(&single, &acfg);
-        let t2 = alert_timeline(&run_serving(&tenants, &wl, &cfg), &acfg);
+        let t1 = alert_timeline(&single, &acfg, None);
+        let t2 = alert_timeline(&run_serving(&tenants, &wl, &cfg), &acfg, None);
         assert_eq!(t1, t2, "identical runs must yield identical timelines");
         assert!(!t1.for_rule("health.trip").is_empty());
         // Timestamps are sorted.

@@ -252,7 +252,7 @@ fn main() {
             ..ServeConfig::default()
         };
         let overload = run_serving(&tenants, &wl, &alert_cfg);
-        let timeline = alert_timeline(&overload, &ServeAlertConfig::default());
+        let timeline = alert_timeline(&overload, &ServeAlertConfig::default(), None);
         println!(
             "alerts    {} events ({} firing, {} resolved) over {} windows, {} health events",
             timeline.events.len(),

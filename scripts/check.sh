@@ -42,6 +42,10 @@ grep -q '"kind":"firing"' target/obs_smoke/alerts.jsonl \
   || { echo "alert smoke: no firing transition on the timeline" >&2; exit 1; }
 grep -q '"kind":"resolved"' target/obs_smoke/alerts.jsonl \
   || { echo "alert smoke: no resolved transition on the timeline" >&2; exit 1; }
+# The FIFO run's drift breaker must land on the same timeline as
+# health annotations.
+grep -q '"rule":"health\.' target/obs_smoke/alerts.jsonl \
+  || { echo "alert smoke: no health annotation on the timeline" >&2; exit 1; }
 
 # Perf-regression sentinel (warn mode): compare the committed kernel
 # snapshot against itself via the `regress` binary so parser + CLI +

@@ -92,7 +92,11 @@ fn sharded_runtime_serves_searched_strategies_end_to_end() {
         ..ShardConfig::default()
     };
     let r = run_sharded(&tenants, &wl, &shard_cfg);
-    assert_eq!(r, run_sharded_reference(&tenants, &wl, &shard_cfg));
+    let scan = ShardConfig {
+        mode: SelectMode::LinearScan,
+        ..shard_cfg
+    };
+    assert_eq!(r, run_sharded(&tenants, &wl, &scan));
     assert_eq!(r.lost_requests(), 0);
     assert!(r.total_completed > 0);
     assert_eq!(r.windows.len(), shard_cfg.epochs);

@@ -167,11 +167,11 @@ proptest! {
         let plain = run_serving(&tenants, &wl, &cfg);
         // Evaluating the timeline reads the report; the report must be
         // exactly the one an alert-free consumer would see.
-        let t1 = alert_timeline(&plain, &acfg);
+        let t1 = alert_timeline(&plain, &acfg, None);
         prop_assert_eq!(&plain, &run_serving(&tenants, &wl, &cfg));
         // Identical runs land every alert and health annotation on the
         // same simulated-time instants.
-        prop_assert_eq!(&t1, &alert_timeline(&run_serving(&tenants, &wl, &cfg), &acfg));
+        prop_assert_eq!(&t1, &alert_timeline(&run_serving(&tenants, &wl, &cfg), &acfg, None));
         // Timeline events are emitted in simulated-time order.
         prop_assert!(t1.events.windows(2).all(|p| p[0].t_ns <= p[1].t_ns));
     }
@@ -213,7 +213,19 @@ proptest! {
             rl_search_vec_tapped(&model, &cands, &cfg, &scfg, lanes, engine(), &mut tap);
         prop_assert_eq!(plain.best_strategy, tapped.best_strategy);
         prop_assert_eq!(plain.best_report, tapped.best_report);
-        prop_assert_eq!(&plain.history, &tapped.history);
+        // Every history field but the cache hit rate must match bit for
+        // bit. The two lanes evaluate via `par_map` on one shared engine,
+        // so whether both miss on a key they look up together or one hits
+        // depends on thread interleaving: the hit rate is a measurement,
+        // only range-checked.
+        let bits = |h: &EpisodeRecord| {
+            assert!((0.0..=1.0).contains(&h.cache_hit_rate));
+            let fields = [h.rue, h.reward, h.utilization, h.energy_nj];
+            (h.episode, fields.map(f64::to_bits))
+        };
+        let plain_bits: Vec<_> = plain.history.iter().map(bits).collect();
+        let tapped_bits: Vec<_> = tapped.history.iter().map(bits).collect();
+        prop_assert_eq!(plain_bits, tapped_bits);
         stream.flush();
         prop_assert_eq!(sink.lines().len(), plain.history.len());
     }

@@ -95,7 +95,7 @@ proptest! {
             ..ShardConfig::default()
         };
         let heap = run_sharded(&tenants, &wl, &cfg);
-        let scan = run_sharded_reference(&tenants, &wl, &cfg);
+        let scan = run_sharded(&tenants, &wl, &ShardConfig { mode: SelectMode::LinearScan, ..cfg });
         prop_assert_eq!(heap, scan);
     }
 
@@ -206,7 +206,7 @@ proptest! {
         };
         let r = run_sharded(&tenants, &wl, &cfg);
         prop_assert_eq!(r.lost_requests(), 0);
-        let scan = run_sharded_reference(&tenants, &wl, &cfg);
+        let scan = run_sharded(&tenants, &wl, &ShardConfig { mode: SelectMode::LinearScan, ..cfg });
         prop_assert_eq!(r, scan);
     }
 }
@@ -232,7 +232,11 @@ fn golden_sharded_run_is_pinned() {
         ..ShardConfig::default()
     };
     let r = run_sharded(&tenants, &wl, &cfg);
-    assert_eq!(r, run_sharded_reference(&tenants, &wl, &cfg));
+    let scan = ShardConfig {
+        mode: SelectMode::LinearScan,
+        ..cfg
+    };
+    assert_eq!(r, run_sharded(&tenants, &wl, &scan));
     assert_eq!(r, run_sharded_threaded(&tenants, &wl, &cfg, 3));
     assert_eq!(r.lost_requests(), 0);
     assert_eq!(

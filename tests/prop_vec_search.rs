@@ -13,22 +13,26 @@ use proptest::prelude::*;
 use std::sync::Arc;
 
 /// Full-precision fingerprint of a search trajectory: every history field
-/// as raw bits (episode, rue, reward, utilization, energy, hit rate), plus
-/// the winning strategy and report.
-type HistoryBits = Vec<(usize, u64, u64, u64, u64, u64)>;
+/// as raw bits (episode, rue, reward, utilization, energy), plus the
+/// winning strategy and report. The cache hit rate is only range-checked:
+/// a multi-lane group evaluates its lanes via `par_map` on one shared
+/// engine, so whether two lanes looking up the same key both miss or one
+/// hits depends on thread interleaving. (`tests/golden_rl_search.rs` pins
+/// it bit for bit at one lane, where it is seeded.)
+type HistoryBits = Vec<(usize, u64, u64, u64, u64)>;
 
 fn fingerprint(o: &SearchOutcome) -> (HistoryBits, Vec<XbarShape>, EvalReport) {
     (
         o.history
             .iter()
             .map(|h| {
+                assert!((0.0..=1.0).contains(&h.cache_hit_rate));
                 (
                     h.episode,
                     h.rue.to_bits(),
                     h.reward.to_bits(),
                     h.utilization.to_bits(),
                     h.energy_nj.to_bits(),
-                    h.cache_hit_rate.to_bits(),
                 )
             })
             .collect(),
